@@ -129,6 +129,7 @@ type CPU struct {
 	OnExternCall func(name string)
 
 	images  []*asm.Image
+	lastIm  *asm.Image // imageAt's last hit; reset when images change
 	externs map[uint32]externEntry
 
 	inst    uint64 // instructions retired in the current outer Call
@@ -143,13 +144,17 @@ func New(as *mem.AddressSpace, m *cycles.Meter) *CPU {
 }
 
 // AddImage makes an image's code executable.
-func (c *CPU) AddImage(im *asm.Image) { c.images = append(c.images, im) }
+func (c *CPU) AddImage(im *asm.Image) {
+	c.images = append(c.images, im)
+	c.lastIm = nil
+}
 
 // RemoveImage unloads an image (driver teardown after a fault).
 func (c *CPU) RemoveImage(im *asm.Image) {
 	for i, x := range c.images {
 		if x == im {
 			c.images = append(c.images[:i], c.images[i+1:]...)
+			c.lastIm = nil
 			return
 		}
 	}
@@ -171,8 +176,12 @@ func (c *CPU) ExternAt(addr uint32) (string, bool) {
 
 // imageAt finds the image containing addr.
 func (c *CPU) imageAt(addr uint32) *asm.Image {
+	if im := c.lastIm; im != nil && im.Contains(addr) {
+		return im
+	}
 	for _, im := range c.images {
 		if im.Contains(addr) {
+			c.lastIm = im
 			return im
 		}
 	}

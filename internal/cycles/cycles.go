@@ -45,10 +45,36 @@ const (
 	pageShiftConst = 12
 )
 
+// paperComps lists the paper's buckets in dense-index order. Charging one
+// of them indexes Meter.dense; any other component falls back to a map.
+var paperComps = [numDense]Component{CompDom0, CompDomU, CompXen, CompDriver}
+
+const numDense = 4
+
+// denseIndex returns c's slot in Meter.dense, or -1 for a non-paper
+// component.
+func denseIndex(c Component) int {
+	for i, p := range paperComps {
+		if p == c {
+			return i
+		}
+	}
+	return -1
+}
+
 // Meter accumulates cycles per component and exposes the hardware model.
+//
+// Every simulated instruction charges the current bucket, so the paper's
+// four buckets live in a fixed array indexed by a dense slot resolved once
+// per SetComponent/PushComponent/PopComponent; only other components pay
+// for a map. A bucket is a Breakdown key once charged (even with 0 cycles),
+// tracked per dense slot in the charged bitmask.
 type Meter struct {
-	buckets map[Component]uint64
+	dense   [numDense]uint64
+	charged uint8                // bit i set once dense[i] is charged
+	other   map[Component]uint64 // non-paper buckets; nil until used
 	current Component
+	cur     int // denseIndex(current)
 	stack   []Component
 
 	// lifetime holds the cycles retired by past measurement epochs:
@@ -75,13 +101,17 @@ type Meter struct {
 
 // NewMeter returns a meter with cold hardware state, attributing to Xen.
 func NewMeter() *Meter {
-	m := &Meter{buckets: make(map[Component]uint64), current: CompXen}
+	m := &Meter{}
+	m.SetComponent(CompXen)
 	m.FlushHW()
 	return m
 }
 
 // SetComponent switches the attribution bucket.
-func (m *Meter) SetComponent(c Component) { m.current = c }
+func (m *Meter) SetComponent(c Component) {
+	m.current = c
+	m.cur = denseIndex(c)
+}
 
 // Component returns the current attribution bucket.
 func (m *Meter) Component() Component { return m.current }
@@ -89,22 +119,39 @@ func (m *Meter) Component() Component { return m.current }
 // PushComponent switches buckets, remembering the previous one.
 func (m *Meter) PushComponent(c Component) {
 	m.stack = append(m.stack, m.current)
-	m.current = c
+	m.SetComponent(c)
 }
 
 // PopComponent restores the bucket saved by PushComponent.
 func (m *Meter) PopComponent() {
 	if n := len(m.stack); n > 0 {
-		m.current = m.stack[n-1]
+		m.SetComponent(m.stack[n-1])
 		m.stack = m.stack[:n-1]
 	}
 }
 
 // Add charges n cycles to the current component.
-func (m *Meter) Add(n uint64) { m.buckets[m.current] += n }
+func (m *Meter) Add(n uint64) { m.charge(m.cur, m.current, n) }
 
 // AddTo charges n cycles to a specific component.
-func (m *Meter) AddTo(c Component, n uint64) { m.buckets[c] += n }
+func (m *Meter) AddTo(c Component, n uint64) { m.charge(denseIndex(c), c, n) }
+
+// charge adds n to component c, whose dense slot is i (-1: none).
+func (m *Meter) charge(i int, c Component, n uint64) {
+	if i < 0 {
+		m.addOther(c, n)
+		return
+	}
+	m.dense[i] += n
+	m.charged |= 1 << i
+}
+
+func (m *Meter) addOther(c Component, n uint64) {
+	if m.other == nil {
+		m.other = make(map[Component]uint64)
+	}
+	m.other[c] += n
+}
 
 // tlbAccess looks up (and on miss, fills) the TLB; it returns the miss
 // penalty incurred.
@@ -135,7 +182,7 @@ func (m *Meter) MemAccess(vaddr uint32) uint64 {
 		m.L1Misses++
 		cost += CostL1Miss
 	}
-	m.buckets[m.current] += cost
+	m.Add(cost)
 	return cost
 }
 
@@ -151,7 +198,7 @@ func (m *Meter) IFetch(pc uint32) uint64 {
 		m.L1IMisses++
 		cost += CostL1Miss
 	}
-	m.buckets[m.current] += cost
+	m.Add(cost)
 	return cost
 }
 
@@ -193,19 +240,32 @@ func (m *Meter) Lifetime() uint64 { return m.lifetime + m.Total() }
 // Total returns the sum over all components.
 func (m *Meter) Total() uint64 {
 	var t uint64
-	for _, v := range m.buckets {
+	for _, v := range m.dense {
+		t += v
+	}
+	for _, v := range m.other {
 		t += v
 	}
 	return t
 }
 
 // Get returns the cycles charged to a component.
-func (m *Meter) Get(c Component) uint64 { return m.buckets[c] }
+func (m *Meter) Get(c Component) uint64 {
+	if i := denseIndex(c); i >= 0 {
+		return m.dense[i]
+	}
+	return m.other[c]
+}
 
 // Breakdown returns a copy of all buckets.
 func (m *Meter) Breakdown() map[Component]uint64 {
-	out := make(map[Component]uint64, len(m.buckets))
-	for k, v := range m.buckets {
+	out := make(map[Component]uint64, numDense+len(m.other))
+	for i, c := range paperComps {
+		if m.charged&(1<<i) != 0 {
+			out[c] = m.dense[i]
+		}
+	}
+	for k, v := range m.other {
 		out[k] = v
 	}
 	return out
@@ -216,8 +276,8 @@ func (m *Meter) Breakdown() map[Component]uint64 {
 // into the lifetime clock, which never goes backward.
 func (m *Meter) Reset() {
 	m.lifetime += m.Total()
-	m.buckets = make(map[Component]uint64)
-	m.TLBMisses, m.L1Misses, m.MemAccesses = 0, 0, 0
+	m.dense, m.charged, m.other = [numDense]uint64{}, 0, nil
+	m.TLBMisses, m.L1Misses, m.L1IMisses, m.MemAccesses = 0, 0, 0, 0
 }
 
 // Merge folds the live buckets and hardware-event statistics of every src
@@ -232,8 +292,12 @@ func (m *Meter) Merge(srcs ...*Meter) {
 		if s == nil || s == m {
 			continue
 		}
-		for c, v := range s.buckets {
-			m.buckets[c] += v
+		for i, v := range s.dense {
+			m.dense[i] += v
+		}
+		m.charged |= s.charged
+		for c, v := range s.other {
+			m.addOther(c, v)
 		}
 		m.TLBMisses += s.TLBMisses
 		m.L1Misses += s.L1Misses
@@ -244,8 +308,9 @@ func (m *Meter) Merge(srcs ...*Meter) {
 
 // String formats the breakdown, components sorted.
 func (m *Meter) String() string {
-	keys := make([]string, 0, len(m.buckets))
-	for k := range m.buckets {
+	buckets := m.Breakdown()
+	keys := make([]string, 0, len(buckets))
+	for k := range buckets {
 		keys = append(keys, string(k))
 	}
 	sort.Strings(keys)
@@ -254,7 +319,7 @@ func (m *Meter) String() string {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%d", k, m.buckets[Component(k)])
+		fmt.Fprintf(&b, "%s=%d", k, buckets[Component(k)])
 	}
 	return b.String()
 }

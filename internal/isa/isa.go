@@ -421,7 +421,7 @@ func (o Operand) format() string {
 }
 
 // EffScale returns the effective scale factor (0 normalised to 1).
-func (o Operand) EffScale() uint8 {
+func (o *Operand) EffScale() uint8 {
 	if o.Scale == 0 {
 		return 1
 	}
@@ -451,7 +451,7 @@ type Inst struct {
 }
 
 // EffSize returns the operand size, normalising 0 to 4.
-func (i Inst) EffSize() uint32 {
+func (i *Inst) EffSize() uint32 {
 	if i.Size == 0 {
 		return 4
 	}

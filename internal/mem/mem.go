@@ -39,40 +39,40 @@ type MMIO interface {
 
 // Physical is the machine's physical memory: a frame pool plus MMIO
 // routing.
+//
+// Frames are numbered contiguously from 1 and never freed, so storage and
+// ownership are slices indexed by frame number. Device regions are few and
+// consulted only for frames without RAM.
 type Physical struct {
-	frames    map[uint32]*[PageSize]byte // frame number -> storage
-	owners    map[uint32]Owner
-	mmio      map[uint32]mmioEntry // frame number -> device
-	nextFrame uint32
+	frames []*[PageSize]byte // frame number -> storage (nil: MMIO or frame 0)
+	owners []Owner           // frame number -> owner
+	mmio   []mmioRegion
 }
 
-type mmioEntry struct {
-	dev  MMIO
-	base uint32 // first frame of the device's region
+// mmioRegion is one device's claimed run of frames.
+type mmioRegion struct {
+	dev   MMIO
+	first uint32 // first frame of the region
+	n     uint32 // frames claimed
 }
 
 // NewPhysical returns an empty physical memory.
 func NewPhysical() *Physical {
-	return &Physical{
-		frames:    make(map[uint32]*[PageSize]byte),
-		owners:    make(map[uint32]Owner),
-		mmio:      make(map[uint32]mmioEntry),
-		nextFrame: 1, // frame 0 stays unused so a zero PTE is never valid
-	}
+	// Frame 0 stays unused so a zero PTE is never valid.
+	return &Physical{frames: []*[PageSize]byte{nil}, owners: []Owner{OwnerNone}}
 }
 
 // AllocFrame allocates a fresh zeroed frame owned by owner.
 func (p *Physical) AllocFrame(owner Owner) uint32 {
-	f := p.nextFrame
-	p.nextFrame++
-	p.frames[f] = new([PageSize]byte)
-	p.owners[f] = owner
+	f := uint32(len(p.frames))
+	p.frames = append(p.frames, new([PageSize]byte))
+	p.owners = append(p.owners, owner)
 	return f
 }
 
 // AllocFrames allocates n physically contiguous frames.
 func (p *Physical) AllocFrames(owner Owner, n int) uint32 {
-	first := p.nextFrame
+	first := uint32(len(p.frames))
 	for i := 0; i < n; i++ {
 		p.AllocFrame(owner)
 	}
@@ -82,72 +82,81 @@ func (p *Physical) AllocFrames(owner Owner, n int) uint32 {
 // ClaimMMIO reserves n contiguous frames for a device and routes accesses
 // to it. Returns the first frame number.
 func (p *Physical) ClaimMMIO(owner Owner, n int, dev MMIO) uint32 {
-	first := p.nextFrame
+	first := uint32(len(p.frames))
 	for i := 0; i < n; i++ {
-		f := p.nextFrame
-		p.nextFrame++
-		p.owners[f] = owner
-		p.mmio[f] = mmioEntry{dev: dev, base: first}
+		p.frames = append(p.frames, nil)
+		p.owners = append(p.owners, owner)
 	}
+	p.mmio = append(p.mmio, mmioRegion{dev: dev, first: first, n: uint32(n)})
 	return first
 }
 
 // FrameOwner returns the owner of a frame, or OwnerNone if unallocated.
 func (p *Physical) FrameOwner(f uint32) Owner {
-	if o, ok := p.owners[f]; ok {
-		return o
+	if f < uint32(len(p.owners)) {
+		return p.owners[f]
 	}
 	return OwnerNone
 }
 
 // SetFrameOwner transfers frame ownership (grant-table style page transfer).
 func (p *Physical) SetFrameOwner(f uint32, o Owner) {
-	if _, ok := p.owners[f]; ok {
+	if f != 0 && f < uint32(len(p.owners)) {
 		p.owners[f] = o
 	}
 }
 
 // IsMMIO reports whether a frame is device-mapped.
-func (p *Physical) IsMMIO(f uint32) bool {
-	_, ok := p.mmio[f]
-	return ok
+func (p *Physical) IsMMIO(f uint32) bool { return p.device(f) != nil }
+
+// device returns the region claiming frame f, or nil.
+func (p *Physical) device(f uint32) *mmioRegion {
+	for i := range p.mmio {
+		if r := &p.mmio[i]; f-r.first < r.n { // unsigned: f < first wraps high
+			return r
+		}
+	}
+	return nil
 }
 
 // FrameData returns the RAM storage of a frame (nil for MMIO/unallocated).
-func (p *Physical) FrameData(f uint32) *[PageSize]byte { return p.frames[f] }
+func (p *Physical) FrameData(f uint32) *[PageSize]byte {
+	if f < uint32(len(p.frames)) {
+		return p.frames[f]
+	}
+	return nil
+}
 
 // readPhys reads size (1/2/4) bytes at physical address pa. The access must
 // not cross a frame boundary.
 func (p *Physical) readPhys(pa uint32, size uint32) (uint32, error) {
 	f, off := pa/PageSize, pa&PageMask
-	if e, ok := p.mmio[f]; ok {
-		return e.dev.MMIORead((f-e.base)*PageSize+off, size), nil
+	if fr := p.FrameData(f); fr != nil {
+		var v uint32
+		for i := uint32(0); i < size; i++ {
+			v |= uint32(fr[off+i]) << (8 * i)
+		}
+		return v, nil
 	}
-	fr := p.frames[f]
-	if fr == nil {
-		return 0, fmt.Errorf("mem: physical read of unallocated frame %#x", f)
+	if r := p.device(f); r != nil {
+		return r.dev.MMIORead((f-r.first)*PageSize+off, size), nil
 	}
-	var v uint32
-	for i := uint32(0); i < size; i++ {
-		v |= uint32(fr[off+i]) << (8 * i)
-	}
-	return v, nil
+	return 0, fmt.Errorf("mem: physical read of unallocated frame %#x", f)
 }
 
 func (p *Physical) writePhys(pa uint32, size uint32, val uint32) error {
 	f, off := pa/PageSize, pa&PageMask
-	if e, ok := p.mmio[f]; ok {
-		e.dev.MMIOWrite((f-e.base)*PageSize+off, size, val)
+	if fr := p.FrameData(f); fr != nil {
+		for i := uint32(0); i < size; i++ {
+			fr[off+i] = byte(val >> (8 * i))
+		}
 		return nil
 	}
-	fr := p.frames[f]
-	if fr == nil {
-		return fmt.Errorf("mem: physical write of unallocated frame %#x", f)
+	if r := p.device(f); r != nil {
+		r.dev.MMIOWrite((f-r.first)*PageSize+off, size, val)
+		return nil
 	}
-	for i := uint32(0); i < size; i++ {
-		fr[off+i] = byte(val >> (8 * i))
-	}
-	return nil
+	return fmt.Errorf("mem: physical write of unallocated frame %#x", f)
 }
 
 // PageFault reports a failed virtual memory access.
@@ -173,7 +182,27 @@ type AddressSpace struct {
 	Phys   *Physical
 	Global *AddressSpace // nil for the hypervisor space itself
 
-	pt map[uint32]uint32 // vpage -> frame
+	pt map[uint32]uint32 // vpage -> frame; the source of truth
+
+	// tc is a direct-mapped cache of local page-table lookups, hits and
+	// misses alike, in front of pt; every Map/Unmap clears it. Lookups
+	// fill it, so even LookupLocal writes the AddressSpace. That is safe
+	// only because the simulated machine is one CPU: no two goroutines
+	// translate through the same space at once (the twin's parallel
+	// per-queue service loops serialize all execution under core's
+	// execMu), and page-table mutations are setup-time or SVM first-touch
+	// Map/Unmap calls on that same serialized path.
+	tc      [tcEntries]tcEntry
+	tcDirty bool // some tc entry may be valid
+}
+
+// tcEntries is the size of the translation cache; a power of two.
+const tcEntries = 64
+
+// tcEntry caches one local lookup; frame is meaningful only when ok.
+type tcEntry struct {
+	vpage, frame uint32
+	valid, ok    bool
 }
 
 // NewAddressSpace returns an empty address space over phys.
@@ -184,6 +213,7 @@ func NewAddressSpace(name string, phys *Physical, global *AddressSpace) *Address
 // Map installs vpage -> frame.
 func (as *AddressSpace) Map(vpage, frame uint32) {
 	as.pt[vpage] = frame
+	as.flushTC()
 }
 
 // MapRange maps n consecutive pages starting at vaddr to consecutive frames
@@ -198,11 +228,19 @@ func (as *AddressSpace) MapRange(vaddr, frame uint32, n int) {
 // Unmap removes a mapping.
 func (as *AddressSpace) Unmap(vpage uint32) {
 	delete(as.pt, vpage)
+	as.flushTC()
+}
+
+func (as *AddressSpace) flushTC() {
+	if as.tcDirty {
+		as.tc = [tcEntries]tcEntry{}
+		as.tcDirty = false
+	}
 }
 
 // Lookup translates a virtual page to a frame, consulting the global space.
 func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
-	if f, ok := as.pt[vpage]; ok {
+	if f, ok := as.LookupLocal(vpage); ok {
 		return f, true
 	}
 	if as.Global != nil {
@@ -213,7 +251,13 @@ func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
 
 // LookupLocal translates only through the local table (no global chaining).
 func (as *AddressSpace) LookupLocal(vpage uint32) (uint32, bool) {
+	e := &as.tc[vpage&(tcEntries-1)]
+	if e.valid && e.vpage == vpage {
+		return e.frame, e.ok
+	}
 	f, ok := as.pt[vpage]
+	*e = tcEntry{vpage: vpage, frame: f, valid: true, ok: ok}
+	as.tcDirty = true
 	return f, ok
 }
 
@@ -268,67 +312,102 @@ func (as *AddressSpace) Store(vaddr uint32, size uint32, val uint32) error {
 // ReadBytes copies n bytes starting at vaddr into a fresh slice.
 func (as *AddressSpace) ReadBytes(vaddr uint32, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := as.Load(vaddr+uint32(i), 1)
-		if err != nil {
-			return nil, err
+	err := as.walk(vaddr, n, func(off int, ram []byte, size int) error {
+		if ram != nil {
+			copy(out[off:], ram)
+			return nil
 		}
-		out[i] = byte(b)
+		for i := off; i < off+size; i++ {
+			b, err := as.Load(vaddr+uint32(i), 1)
+			if err != nil {
+				return err
+			}
+			out[i] = byte(b)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// WriteBytes copies b into memory at vaddr.
+// WriteBytes copies b into memory at vaddr. A fault leaves every byte
+// before the faulting address written.
 func (as *AddressSpace) WriteBytes(vaddr uint32, b []byte) error {
-	for i, x := range b {
-		if err := as.Store(vaddr+uint32(i), 1, uint32(x)); err != nil {
+	return as.walk(vaddr, len(b), func(off int, ram []byte, size int) error {
+		if ram != nil {
+			copy(ram, b[off:])
+			return nil
+		}
+		for i := off; i < off+size; i++ {
+			if err := as.Store(vaddr+uint32(i), 1, uint32(b[i])); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// walk visits [vaddr, vaddr+n) one page-bounded piece at a time, in
+// address order, stopping at the first error fn returns. off is the
+// piece's offset from vaddr and size its length; ram is the piece's frame
+// storage, or nil when the page is unmapped, MMIO or has no RAM. Callers
+// fall back to per-byte Load/Store for a nil piece, so faults and device
+// access sequences are exactly those of a byte-at-a-time loop.
+func (as *AddressSpace) walk(vaddr uint32, n int, fn func(off int, ram []byte, size int) error) error {
+	for off := 0; off < n; {
+		va := vaddr + uint32(off)
+		size := PageSize - int(va&PageMask)
+		if size > n-off {
+			size = n - off
+		}
+		var ram []byte
+		if f, ok := as.Lookup(va / PageSize); ok {
+			if fr := as.Phys.FrameData(f); fr != nil {
+				po := va & PageMask
+				ram = fr[po : po+uint32(size)]
+			}
+		}
+		if err := fn(off, ram, size); err != nil {
 			return err
 		}
+		off += size
 	}
 	return nil
 }
 
 // Copy moves n bytes from (srcAS, src) to (dstAS, dst). The hypervisor uses
 // this shape when moving packet payloads between guest buffers and dom0
-// sk_buffs.
+// sk_buffs. Each piece bounded by a source or destination page is checked
+// source first, then destination, before any of its bytes move.
 func Copy(dstAS *AddressSpace, dst uint32, srcAS *AddressSpace, src uint32, n int) error {
-	// Page-chunked copy through physical frames for efficiency.
-	for n > 0 {
-		chunk := PageSize - int(src&PageMask)
-		if c := PageSize - int(dst&PageMask); c < chunk {
-			chunk = c
-		}
-		if chunk > n {
-			chunk = n
-		}
-		spa, ok := srcAS.Translate(src)
-		if !ok {
-			return &PageFault{Space: srcAS.Name, Addr: src}
-		}
-		dpa, ok := dstAS.Translate(dst)
-		if !ok {
-			return &PageFault{Space: dstAS.Name, Addr: dst, Write: true}
-		}
-		sf, df := srcAS.Phys.FrameData(spa/PageSize), dstAS.Phys.FrameData(dpa/PageSize)
-		if sf == nil || df == nil {
-			// MMIO or unallocated: fall back to byte loop.
-			for i := 0; i < chunk; i++ {
-				v, err := srcAS.Load(src+uint32(i), 1)
+	return srcAS.walk(src, n, func(off int, s []byte, size int) error {
+		return dstAS.walk(dst+uint32(off), size, func(doff int, d []byte, dsize int) error {
+			if s != nil && d != nil {
+				copy(d, s[doff:])
+				return nil
+			}
+			sa, da := src+uint32(off+doff), dst+uint32(off+doff)
+			if _, ok := srcAS.Translate(sa); !ok {
+				return &PageFault{Space: srcAS.Name, Addr: sa}
+			}
+			if _, ok := dstAS.Translate(da); !ok {
+				return &PageFault{Space: dstAS.Name, Addr: da, Write: true}
+			}
+			// MMIO or unallocated: fall back to the byte loop.
+			for i := 0; i < dsize; i++ {
+				v, err := srcAS.Load(sa+uint32(i), 1)
 				if err != nil {
 					return err
 				}
-				if err := dstAS.Store(dst+uint32(i), 1, v); err != nil {
+				if err := dstAS.Store(da+uint32(i), 1, v); err != nil {
 					return err
 				}
 			}
-		} else {
-			copy(df[dpa&PageMask:uint32(dpa&PageMask)+uint32(chunk)], sf[spa&PageMask:uint32(spa&PageMask)+uint32(chunk)])
-		}
-		src += uint32(chunk)
-		dst += uint32(chunk)
-		n -= chunk
-	}
-	return nil
+			return nil
+		})
+	})
 }
 
 // MappedPages returns the number of locally mapped pages.
