@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"twindrivers/internal/isa"
 )
@@ -197,12 +198,12 @@ func TestLayoutAndResolve(t *testing.T) {
 		t.Errorf("helper entry = %#x", helper)
 	}
 	// Branch target of jne resolves to the .Lok instruction address.
-	in, target, ok := im.At(entry + 7*InstSlot) // the jne
+	in, ok := im.At(entry + 7*InstSlot) // the jne
 	if !ok || in.Op != isa.JCC {
 		t.Fatalf("inst at slot 6: %v (op %v)", ok, in.Op)
 	}
-	if target != entry+9*InstSlot { // .Lok labels the stats+4 store
-		t.Errorf("jne target = %#x, want %#x", target, entry+9*InstSlot)
+	if in.Target != entry+9*InstSlot { // .Lok labels the stats+4 store
+		t.Errorf("jne target = %#x, want %#x", in.Target, entry+9*InstSlot)
 	}
 	// Data layout with alignment.
 	stats, _ := im.DataSymbol("stats")
@@ -222,12 +223,12 @@ func TestLayoutAndResolve(t *testing.T) {
 		t.Errorf("counter init wrong: % x", init[8:13])
 	}
 	// movl stats+4 folded: find the store instruction.
-	in2, _, _ := im.At(entry + 9*InstSlot)
+	in2, _ := im.At(entry + 9*InstSlot)
 	if in2.Op != isa.MOV || in2.Dst.Kind != isa.KindMem || in2.Dst.Disp != int32(stats+4) {
 		t.Errorf("stats+4 fold wrong: %+v", in2)
 	}
 	// $stats immediate in helper.
-	in3, _, _ := im.At(helper)
+	in3, _ := im.At(helper)
 	if in3.Src.Kind != isa.KindImm || uint32(in3.Src.Imm) != stats {
 		t.Errorf("$stats fold wrong: %+v", in3)
 	}
@@ -250,9 +251,9 @@ func TestLayoutUndefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, target, _ := im.At(0x1000)
-	if target != 0xdead0000 {
-		t.Errorf("resolver target = %#x", target)
+	in, _ := im.At(0x1000)
+	if in.Target != 0xdead0000 {
+		t.Errorf("resolver target = %#x", in.Target)
 	}
 }
 
@@ -442,5 +443,35 @@ func TestQuickPrintParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlotIsCompact pins the decoded instruction form: at most 44 bytes
+// and free of pointers, so an image's code is one flat slice the garbage
+// collector never scans.
+func TestSlotIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Slot{}); n > 44 {
+		t.Errorf("Slot is %d bytes, want <= 44", n)
+	}
+	var hasPtr func(reflect.Type) bool
+	hasPtr = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if hasPtr(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPtr(ty.Elem())
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return false
+		}
+		return true
+	}
+	if hasPtr(reflect.TypeOf(Slot{})) {
+		t.Error("Slot holds a pointer, string, slice or map")
 	}
 }

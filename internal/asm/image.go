@@ -23,6 +23,10 @@ type Resolver func(sym string) (uint32, bool)
 
 // Image is a laid-out, linked unit: every instruction has an address, every
 // symbolic reference is resolved.
+//
+// Code is held once, as a dense slice of decoded Slots indexed by
+// (addr-CodeBase)/InstSlot. The full isa.Inst form (labels, source lines,
+// symbol names) stays in the Unit the image was laid out from.
 type Image struct {
 	Name     string
 	CodeBase uint32
@@ -30,15 +34,63 @@ type Image struct {
 	DataBase uint32
 	DataEnd  uint32
 
-	insts   []isa.Inst // symbol references folded to absolute values
-	targets []uint32   // resolved branch target per instruction (0 if none)
+	slots []Slot
 
 	funcStart map[string]uint32 // function name -> entry address
 	funcAt    map[uint32]string // entry address -> function name
 	dataAddr  map[string]uint32 // data symbol -> address
 	dataSize  map[string]uint32
+	imports   map[string]uint32 // symbols bound through the Resolver
 
 	dataInit []byte // initial contents of [DataBase, DataEnd)
+}
+
+// Slot is one linked instruction in the form the interpreter reads it:
+// pointer-free, 44 bytes, with every symbol folded into its operand and
+// the branch target resolved to an address.
+type Slot struct {
+	Target   uint32 // resolved direct branch target (0 if none)
+	Op       isa.Op
+	Cond     isa.Cond
+	Size     uint8 // operand size in bytes: 1, 2 or 4 (never 0)
+	Rep      isa.Rep
+	Indirect bool
+	Src      SlotOperand
+	Dst      SlotOperand
+}
+
+// SlotOperand is a linked operand: isa.Operand with its symbol folded
+// into Imm (immediates) or Disp (memory) and its scale normalised.
+type SlotOperand struct {
+	Kind  isa.OperandKind
+	Reg   isa.Reg
+	Base  isa.Reg
+	Index isa.Reg
+	Scale uint8 // effective scale: 1, 2, 4 or 8 (never 0)
+	Imm   int32
+	Disp  int32
+}
+
+// decode converts a folded instruction (no symbol left in its operands)
+// and its resolved branch target into a slot.
+func decode(in *isa.Inst, target uint32) Slot {
+	return Slot{
+		Target:   target,
+		Op:       in.Op,
+		Cond:     in.Cond,
+		Size:     uint8(in.EffSize()),
+		Rep:      in.Rep,
+		Indirect: in.Indirect,
+		Src:      decodeOperand(&in.Src),
+		Dst:      decodeOperand(&in.Dst),
+	}
+}
+
+func decodeOperand(o *isa.Operand) SlotOperand {
+	return SlotOperand{
+		Kind: o.Kind, Reg: o.Reg, Base: o.Base, Index: o.Index,
+		Scale: o.EffScale(), Imm: o.Imm, Disp: o.Disp,
+	}
 }
 
 // LayoutError reports a link failure.
@@ -60,6 +112,7 @@ func Layout(name string, u *Unit, codeBase, dataBase uint32, r Resolver) (*Image
 		funcAt:    make(map[uint32]string),
 		dataAddr:  make(map[string]uint32),
 		dataSize:  make(map[string]uint32),
+		imports:   make(map[string]uint32),
 	}
 
 	// Pass 1: place functions and data.
@@ -105,13 +158,15 @@ func Layout(name string, u *Unit, codeBase, dataBase uint32, r Resolver) (*Image
 		}
 		if r != nil {
 			if a, ok := r(sym); ok {
+				im.imports[sym] = a
 				return a, true
 			}
 		}
 		return 0, false
 	}
 
-	// Pass 2: copy instructions, folding symbols.
+	// Pass 2: fold symbols into a copy of each instruction and decode it.
+	im.slots = make([]Slot, 0, u.InstCount())
 	for _, f := range u.Funcs {
 		fbase := im.funcStart[f.Name]
 		for i := range f.Insts {
@@ -130,8 +185,7 @@ func Layout(name string, u *Unit, codeBase, dataBase uint32, r Resolver) (*Image
 			if err := foldOperand(&in.Dst, f, fbase, resolve); err != nil {
 				return nil, err
 			}
-			im.insts = append(im.insts, in)
-			im.targets = append(im.targets, target)
+			im.slots = append(im.slots, decode(&in, target))
 		}
 	}
 	return im, nil
@@ -160,14 +214,17 @@ func (im *Image) Contains(addr uint32) bool {
 	return addr >= im.CodeBase && addr < im.CodeEnd && (addr-im.CodeBase)%InstSlot == 0
 }
 
-// At returns the instruction at addr and its resolved branch target.
-func (im *Image) At(addr uint32) (*isa.Inst, uint32, bool) {
+// At returns the slot of the instruction at addr.
+func (im *Image) At(addr uint32) (*Slot, bool) {
 	if !im.Contains(addr) {
-		return nil, 0, false
+		return nil, false
 	}
-	i := (addr - im.CodeBase) / InstSlot
-	return &im.insts[i], im.targets[i], true
+	return &im.slots[(addr-im.CodeBase)/InstSlot], true
 }
+
+// Slots returns the image's code: the slot of the instruction at address
+// CodeBase+i*InstSlot is element i. The slice is shared, not copied.
+func (im *Image) Slots() []Slot { return im.slots }
 
 // FuncEntry returns the function entry address for name.
 func (im *Image) FuncEntry(name string) (uint32, bool) {
@@ -216,6 +273,12 @@ func (im *Image) DataSymbolSize(name string) (uint32, bool) {
 	return s, ok
 }
 
+// Import returns the address the Resolver bound an imported symbol to.
+func (im *Image) Import(sym string) (uint32, bool) {
+	a, ok := im.imports[sym]
+	return a, ok
+}
+
 // DataSymbols returns all data symbol names, sorted.
 func (im *Image) DataSymbols() []string {
 	out := make([]string, 0, len(im.dataAddr))
@@ -230,4 +293,4 @@ func (im *Image) DataSymbols() []string {
 func (im *Image) DataInit() []byte { return im.dataInit }
 
 // NumInsts returns the number of instructions in the image.
-func (im *Image) NumInsts() int { return len(im.insts) }
+func (im *Image) NumInsts() int { return len(im.slots) }

@@ -737,7 +737,10 @@ func (t *Twin) abort(entry uint32, cause error) {
 	rec := FaultRecord{
 		Entry: t.entryName[entry],
 		Cause: cause.Error(),
-		Cycle: t.M.HV.Meter.Lifetime(),
+		// The machine clock, not the queue meter a parallel service
+		// loop may have swapped in: the supervisor's escalation window
+		// compares stamps on one clock.
+		Cycle: t.mMeter.Lifetime(),
 	}
 	if f, ok := cause.(*cpu.Fault); ok {
 		rec.Kind = f.Kind

@@ -129,8 +129,13 @@ type CPU struct {
 	OnExternCall func(name string)
 
 	images  []*asm.Image
-	lastIm  *asm.Image // imageAt's last hit; reset when images change
 	externs map[uint32]externEntry
+
+	// code and codeBase cache the slots of the image run last fetched
+	// from, so a fetch inside it is one subtraction and one index. Only
+	// AddImage and RemoveImage change the images, and both drop the cache.
+	code     []asm.Slot
+	codeBase uint32
 
 	inst    uint64 // instructions retired in the current outer Call
 	depth   int    // nesting of Call
@@ -146,7 +151,7 @@ func New(as *mem.AddressSpace, m *cycles.Meter) *CPU {
 // AddImage makes an image's code executable.
 func (c *CPU) AddImage(im *asm.Image) {
 	c.images = append(c.images, im)
-	c.lastIm = nil
+	c.code = nil
 }
 
 // RemoveImage unloads an image (driver teardown after a fault).
@@ -154,7 +159,7 @@ func (c *CPU) RemoveImage(im *asm.Image) {
 	for i, x := range c.images {
 		if x == im {
 			c.images = append(c.images[:i], c.images[i+1:]...)
-			c.lastIm = nil
+			c.code = nil
 			return
 		}
 	}
@@ -176,12 +181,8 @@ func (c *CPU) ExternAt(addr uint32) (string, bool) {
 
 // imageAt finds the image containing addr.
 func (c *CPU) imageAt(addr uint32) *asm.Image {
-	if im := c.lastIm; im != nil && im.Contains(addr) {
-		return im
-	}
 	for _, im := range c.images {
 		if im.Contains(addr) {
-			c.lastIm = im
 			return im
 		}
 	}
@@ -277,18 +278,25 @@ func (c *CPU) Call(entry uint32, args ...uint32) (uint32, error) {
 // run executes until a RET pops ReturnSentinel.
 func (c *CPU) run(shadowBase int) error {
 	for {
-		im := c.imageAt(c.PC)
-		if im == nil {
-			return &Fault{Kind: FaultBadFetch, PC: c.PC}
+		pc := c.PC
+		off := pc - c.codeBase
+		if off%asm.InstSlot != 0 || off/asm.InstSlot >= uint32(len(c.code)) {
+			im := c.imageAt(pc)
+			if im == nil {
+				return &Fault{Kind: FaultBadFetch, PC: pc}
+			}
+			c.code, c.codeBase = im.Slots(), im.CodeBase
+			off = pc - im.CodeBase
 		}
-		in, target, _ := im.At(c.PC)
-		c.Meter.IFetch(c.PC)
+		in := &c.code[off/asm.InstSlot]
 		c.inst++
 		c.Retired++
 		if c.Budget != 0 && c.inst > c.Budget {
-			return &Fault{Kind: FaultWatchdog, PC: c.PC, Msg: "instruction budget exhausted"}
+			c.Meter.IFetch(pc) // fetched, never issued
+			return &Fault{Kind: FaultWatchdog, PC: pc, Msg: "instruction budget exhausted"}
 		}
-		done, err := c.step(in, target, shadowBase)
+		c.Meter.Issue(pc)
+		done, err := c.step(in, shadowBase)
 		if err != nil {
 			return err
 		}
@@ -299,19 +307,19 @@ func (c *CPU) run(shadowBase int) error {
 }
 
 // EA computes the effective address of a memory operand.
-func (c *CPU) EA(o *isa.Operand) uint32 {
+func (c *CPU) EA(o *asm.SlotOperand) uint32 {
 	a := uint32(o.Disp)
 	if o.Base != isa.RegNone {
 		a += c.Regs[o.Base]
 	}
 	if o.Index != isa.RegNone {
-		a += c.Regs[o.Index] * uint32(o.EffScale())
+		a += c.Regs[o.Index] * uint32(o.Scale)
 	}
 	return a
 }
 
 // loadOperand reads an operand's value (masked to size).
-func (c *CPU) loadOperand(o *isa.Operand, size uint32) (uint32, error) {
+func (c *CPU) loadOperand(o *asm.SlotOperand, size uint32) (uint32, error) {
 	switch o.Kind {
 	case isa.KindImm:
 		return uint32(o.Imm) & sizeMask(size), nil
@@ -331,7 +339,7 @@ func (c *CPU) loadOperand(o *isa.Operand, size uint32) (uint32, error) {
 
 // storeOperand writes val (masked to size) to a register or memory operand.
 // Sub-word register writes preserve the upper bits, as on x86.
-func (c *CPU) storeOperand(o *isa.Operand, size uint32, val uint32) error {
+func (c *CPU) storeOperand(o *asm.SlotOperand, size uint32, val uint32) error {
 	switch o.Kind {
 	case isa.KindReg:
 		if size == 4 {

@@ -614,3 +614,26 @@ func TestUndefinedMnemonicMessage(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestImageChangesResetFetch: the interpreter caches the code of the
+// image it last fetched from; unloading that image must make its
+// addresses unfetchable at once, and a reloaded image runs again.
+func TestImageChangesResetFetch(t *testing.T) {
+	c, im := testEnv(t, "f:\n\tmovl\t$7, %eax\n\tret\n")
+	entry, _ := im.FuncEntry("f")
+	if v, err := c.Call(entry); err != nil || v != 7 {
+		t.Fatalf("first call = %d, %v", v, err)
+	}
+	c.RemoveImage(im)
+	if _, err := c.Call(entry); !IsFault(err, FaultBadFetch) {
+		t.Fatalf("call into a removed image: err = %v, want bad fetch", err)
+	}
+	c.AddImage(im)
+	if v, err := c.Call(entry); err != nil || v != 7 {
+		t.Fatalf("call after reload = %d, %v", v, err)
+	}
+	// A misaligned PC inside the image is not an instruction.
+	if _, err := c.Call(entry + 4); !IsFault(err, FaultBadFetch) {
+		t.Fatalf("misaligned call: err = %v, want bad fetch", err)
+	}
+}

@@ -1,15 +1,16 @@
 package cpu
 
 import (
+	"twindrivers/internal/asm"
 	"twindrivers/internal/isa"
 )
 
-// step executes one instruction. It returns done=true when a RET pops the
+// step executes one instruction; run has already charged its fetch and
+// 1-cycle issue cost. It returns done=true when a RET pops the
 // ReturnSentinel of the current Call frame.
-func (c *CPU) step(in *isa.Inst, target uint32, shadowBase int) (bool, error) {
-	size := in.EffSize()
-	next := c.PC + 8 // asm.InstSlot
-	c.Meter.Add(1)   // base issue cost
+func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
+	size := uint32(in.Size)
+	next := c.PC + asm.InstSlot
 
 	switch in.Op {
 	case isa.NOP:
@@ -287,17 +288,17 @@ func (c *CPU) step(in *isa.Inst, target uint32, shadowBase int) (bool, error) {
 			}
 			return c.transfer(t, false, shadowBase)
 		}
-		c.PC = target
+		c.PC = in.Target
 		return false, nil
 
 	case isa.JCC:
 		if c.cond(in.Cond) {
-			c.PC = target
+			c.PC = in.Target
 			return false, nil
 		}
 
 	case isa.CALL:
-		t := target
+		t := in.Target
 		if in.Indirect {
 			v, err := c.loadOperand(&in.Src, 4)
 			if err != nil {
@@ -467,7 +468,7 @@ func (c *CPU) validTarget(t uint32) bool {
 // stringOp executes one string instruction, including REP forms. REP forms
 // drive ECX directly, so an aborting fault leaves the architectural state
 // consistent with the elements already processed.
-func (c *CPU) stringOp(in *isa.Inst, size uint32) error {
+func (c *CPU) stringOp(in *asm.Slot, size uint32) error {
 	for {
 		if in.Rep != isa.RepNone && c.Regs[isa.ECX] == 0 {
 			break
@@ -544,6 +545,6 @@ func (c *CPU) stringOp(in *isa.Inst, size uint32) error {
 			}
 		}
 	}
-	c.PC += 8
+	c.PC += asm.InstSlot
 	return nil
 }

@@ -68,9 +68,14 @@ func denseIndex(c Component) int {
 // four buckets live in a fixed array indexed by a dense slot resolved once
 // per SetComponent/PushComponent/PopComponent; only other components pay
 // for a map. A bucket is a Breakdown key once charged (even with 0 cycles),
-// tracked per dense slot in the charged bitmask.
+// tracked per dense slot in the charged bitmask. The first Add after a
+// SetComponent or Reset marks the bucket charged and points bucket at it,
+// so every later Add is one indirect increment.
+//
+// A Meter holds a pointer into itself and must not be copied.
 type Meter struct {
 	dense   [numDense]uint64
+	bucket  *uint64              // &dense[cur], charged since SetComponent/Reset; else nil
 	charged uint8                // bit i set once dense[i] is charged
 	other   map[Component]uint64 // non-paper buckets; nil until used
 	current Component
@@ -90,6 +95,18 @@ type Meter struct {
 	tlbRR [tlbSets]uint8
 	l1    [l1Lines]uint32
 	l1i   [l1Lines]uint32
+
+	// tlbGen counts TLB fills and flushes. A TLB hit changes no state, so
+	// a page resident at generation g stays resident while tlbGen == g.
+	// The fetch side remembers its last line and page (iLine, iPage, both
+	// recorded at iGen), the data side its last page (dPage, at dGen), and
+	// each skips the probes whose outcome is already known.
+	tlbGen uint64
+	iLine  uint32
+	iPage  uint32
+	iGen   uint64
+	dPage  uint32
+	dGen   uint64
 
 	// Statistics.
 	TLBMisses   uint64
@@ -111,6 +128,7 @@ func NewMeter() *Meter {
 func (m *Meter) SetComponent(c Component) {
 	m.current = c
 	m.cur = denseIndex(c)
+	m.bucket = nil
 }
 
 // Component returns the current attribution bucket.
@@ -131,7 +149,22 @@ func (m *Meter) PopComponent() {
 }
 
 // Add charges n cycles to the current component.
-func (m *Meter) Add(n uint64) { m.charge(m.cur, m.current, n) }
+func (m *Meter) Add(n uint64) {
+	if b := m.bucket; b != nil {
+		*b += n
+		return
+	}
+	m.addFirst(n)
+}
+
+// addFirst is Add's path for the first charge since SetComponent or Reset:
+// it marks the bucket charged and, for a paper bucket, points bucket at it.
+func (m *Meter) addFirst(n uint64) {
+	m.charge(m.cur, m.current, n)
+	if m.cur >= 0 {
+		m.bucket = &m.dense[m.cur]
+	}
+}
 
 // AddTo charges n cycles to a specific component.
 func (m *Meter) AddTo(c Component, n uint64) { m.charge(denseIndex(c), c, n) }
@@ -164,6 +197,7 @@ func (m *Meter) tlbAccess(vpage uint32) uint64 {
 	}
 	m.tlb[set][m.tlbRR[set]] = vpage
 	m.tlbRR[set] = (m.tlbRR[set] + 1) % tlbWays
+	m.tlbGen++
 	m.TLBMisses++
 	return CostTLBMiss
 }
@@ -172,7 +206,11 @@ func (m *Meter) tlbAccess(vpage uint32) uint64 {
 // model and returns the cycles charged.
 func (m *Meter) MemAccess(vaddr uint32) uint64 {
 	m.MemAccesses++
-	cost := m.tlbAccess(vaddr >> pageShiftConst)
+	var cost uint64
+	if page := vaddr >> pageShiftConst; page != m.dPage || m.tlbGen != m.dGen {
+		cost = m.tlbAccess(page)
+		m.dPage, m.dGen = page, m.tlbGen
+	}
 	line := vaddr >> l1LineShift
 	li := line & l1IndexMask
 	if m.l1[li] == line {
@@ -190,7 +228,34 @@ func (m *Meter) MemAccess(vaddr uint32) uint64 {
 // L2 penalty (amortised across the straight-line code in the line); hits
 // are free (fetch is pipelined). Shares the TLB with the data side.
 func (m *Meter) IFetch(pc uint32) uint64 {
-	cost := m.tlbAccess(pc >> pageShiftConst)
+	cost := m.fetch(pc)
+	m.Add(cost)
+	return cost
+}
+
+// Issue charges the fetch of the instruction at pc plus its 1-cycle issue
+// cost, in one Add. It is IFetch(pc) followed by Add(1).
+func (m *Meter) Issue(pc uint32) { m.Add(m.fetch(pc) + 1) }
+
+// fetch returns the fetch cost at pc. Refetching the last line needs no
+// probe while no TLB fill or flush intervened: its page hits then, and
+// the L1I changes only on fetch misses (which move iLine) and flushes
+// (which move tlbGen).
+func (m *Meter) fetch(pc uint32) uint64 {
+	if pc>>l1LineShift == m.iLine && m.tlbGen == m.iGen {
+		return 0
+	}
+	return m.probeFetch(pc)
+}
+
+// probeFetch runs the L1I probe for a fetch at pc, and the TLB probe
+// unless pc is in the last fetched page with no fill or flush since.
+func (m *Meter) probeFetch(pc uint32) uint64 {
+	var cost uint64
+	page := pc >> pageShiftConst
+	if page != m.iPage || m.tlbGen != m.iGen {
+		cost = m.tlbAccess(page)
+	}
 	line := pc >> l1LineShift
 	li := line & l1IndexMask
 	if m.l1i[li] != line {
@@ -198,7 +263,7 @@ func (m *Meter) IFetch(pc uint32) uint64 {
 		m.L1IMisses++
 		cost += CostL1Miss
 	}
-	m.Add(cost)
+	m.iLine, m.iPage, m.iGen = line, page, m.tlbGen
 	return cost
 }
 
@@ -227,6 +292,7 @@ func (m *Meter) FlushHW() {
 	for i := range m.l1i {
 		m.l1i[i] = invalidTag
 	}
+	m.tlbGen++
 	m.Flushes++
 }
 
@@ -276,7 +342,7 @@ func (m *Meter) Breakdown() map[Component]uint64 {
 // into the lifetime clock, which never goes backward.
 func (m *Meter) Reset() {
 	m.lifetime += m.Total()
-	m.dense, m.charged, m.other = [numDense]uint64{}, 0, nil
+	m.dense, m.charged, m.other, m.bucket = [numDense]uint64{}, 0, nil, nil
 	m.TLBMisses, m.L1Misses, m.L1IMisses, m.MemAccesses = 0, 0, 0, 0
 }
 

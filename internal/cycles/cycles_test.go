@@ -270,3 +270,26 @@ func BenchmarkMeterCharge(b *testing.B) {
 		m.MemAccess(0x200000 + uint32(i&4095)*4)
 	}
 }
+
+// BenchmarkIFetch measures one instruction fetch through the TLB and L1I
+// model over straight-line code of 1024 instructions: eight instructions
+// per cache line, two pages.
+func BenchmarkIFetch(b *testing.B) {
+	m := NewMeter()
+	m.SetComponent(CompDriver)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.IFetch(0x100000 + uint32(i&1023)*8)
+	}
+}
+
+// BenchmarkMemAccess measures one data access through the TLB and L1D
+// model: 4-byte strides over 16 KiB, four pages.
+func BenchmarkMemAccess(b *testing.B) {
+	m := NewMeter()
+	m.SetComponent(CompDriver)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.MemAccess(0x200000 + uint32(i&4095)*4)
+	}
+}

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -18,11 +19,12 @@ import (
 //	0x10-0x12  guest RAM
 //	0x13       unmapped hole
 //	0x14       guest RAM
-//	0x15       MMIO (recording device)
+//	0x15       MMIO (recording device), shadowing global RAM
 //	0x16-0x17  guest RAM
 //	0x18       global-only RAM (resolved through Global)
 //	0x19       guest RAM, shadowing a different global frame
-//	0x1a       mapped to a frame with neither RAM nor a device
+//	0x1a       mapped to a frame with neither RAM nor a device,
+//	           shadowing global RAM
 const (
 	fxBase  = 0x10000
 	fxPages = 11
@@ -70,6 +72,8 @@ func newFixture() *fixture {
 	}
 	ram(fx.hv, 0x18)
 	ram(fx.hv, 0x19)
+	ram(fx.hv, 0x15)
+	ram(fx.hv, 0x1a)
 	fx.g.Map(0x15, fx.phys.ClaimMMIO(OwnerDom0, 1, fx.dev))
 	fx.g.Map(0x1a, 0xFFFFF) // a frame with neither RAM nor a device
 	return fx
@@ -360,6 +364,186 @@ func TestTranslationCacheInvalidation(t *testing.T) {
 			t.Fatalf("conflict: vp+%d -> %d", tcEntries, f)
 		}
 	}
+
+	// The RAM-page cache behind Load and Store follows the same rules.
+	p = NewPhysical()
+	hv = NewAddressSpace("hv", p, nil)
+	g = NewAddressSpace("g", p, hv)
+	fa, fb := p.AllocFrame(OwnerDom0), p.AllocFrame(OwnerDom0)
+	const rp = 0x80
+	addr := uint32(rp*PageSize + 12)
+	load := func(as *AddressSpace, want uint32) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // second round is served from the cache
+			if v, err := as.Load(addr, 4); err != nil || v != want {
+				t.Fatalf("%s.Load(%#x) = %#x, %v, want %#x", as.Name, addr, v, err, want)
+			}
+		}
+	}
+	faults := func(as *AddressSpace) {
+		t.Helper()
+		_, err := as.Load(addr, 4)
+		if !errors.As(err, &pf) || *pf != (PageFault{Space: as.Name, Addr: addr}) {
+			t.Fatalf("%s.Load(%#x) err = %v, want a read fault there", as.Name, addr, err)
+		}
+		err = as.Store(addr, 2, 1)
+		if !errors.As(err, &pf) || *pf != (PageFault{Space: as.Name, Addr: addr, Write: true}) {
+			t.Fatalf("%s.Store(%#x) err = %v, want a write fault there", as.Name, addr, err)
+		}
+	}
+
+	// Load, Unmap, Load faults at the same address.
+	g.Map(rp, fa)
+	if err := g.Store(addr, 4, 0x11223344); err != nil {
+		t.Fatal(err)
+	}
+	load(g, 0x11223344)
+	g.Unmap(rp)
+	faults(g)
+
+	// A global page is cached in the global space, so an Unmap there is
+	// seen by the guest.
+	hv.Map(rp, fb)
+	if err := hv.Store(addr, 4, 0x55); err != nil {
+		t.Fatal(err)
+	}
+	load(g, 0x55)
+	hv.Unmap(rp)
+	faults(g)
+	faults(hv)
+
+	// A new local Map shadows the cached global page, for loads and
+	// stores alike.
+	hv.Map(rp, fb)
+	load(g, 0x55)
+	g.Map(rp, fa)
+	load(g, 0x11223344)
+	if err := g.Store(addr, 2, 0xBEEF); err != nil {
+		t.Fatal(err)
+	}
+	load(g, 0x1122BEEF)
+	load(hv, 0x55)
+}
+
+// refLoad and refStore are Load and Store without the RAM-page cache:
+// translate, then access the physical address; byte by byte across a
+// page boundary.
+func refLoad(as *AddressSpace, vaddr, size uint32) (uint32, error) {
+	if (vaddr&PageMask)+size <= PageSize {
+		pa, ok := as.Translate(vaddr)
+		if !ok {
+			return 0, &PageFault{Space: as.Name, Addr: vaddr}
+		}
+		return as.Phys.readPhys(pa, size)
+	}
+	var v uint32
+	for i := uint32(0); i < size; i++ {
+		b, err := refLoad(as, vaddr+i, 1)
+		if err != nil {
+			return 0, err
+		}
+		v |= b << (8 * i)
+	}
+	return v, nil
+}
+
+func refStore(as *AddressSpace, vaddr, size, val uint32) error {
+	if (vaddr&PageMask)+size <= PageSize {
+		pa, ok := as.Translate(vaddr)
+		if !ok {
+			return &PageFault{Space: as.Name, Addr: vaddr, Write: true}
+		}
+		return as.Phys.writePhys(pa, size, val)
+	}
+	for i := uint32(0); i < size; i++ {
+		if err := refStore(as, vaddr+i, 1, val>>(8*i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLoadStoreMatchPhysicalPath runs seeded random word accesses, with
+// remaps in between, through Load/Store on one fixture and through the
+// uncached reference on a twin, comparing values, faults, memory and the
+// device's access sequence.
+func TestLoadStoreMatchPhysicalPath(t *testing.T) {
+	got, want := newFixture(), newFixture()
+	spare := got.phys.AllocFrame(OwnerDom0)
+	want.phys.AllocFrame(OwnerDom0)
+	got.frames = append(got.frames, spare)
+	want.frames = append(want.frames, spare)
+	rng := rand.New(rand.NewSource(1))
+	sizes := []uint32{1, 2, 4}
+	for i := 0; i < 20000; i++ {
+		space := func(fx *fixture) *AddressSpace {
+			if i&7 == 0 {
+				return fx.hv
+			}
+			return fx.g
+		}
+		// Offsets cluster near page ends so straddles are common.
+		vaddr := uint32(fxBase + rng.Intn(fxPages)*PageSize)
+		if rng.Intn(3) == 0 {
+			vaddr += PageSize - uint32(rng.Intn(8))
+		} else {
+			vaddr += uint32(rng.Intn(PageSize))
+		}
+		size := sizes[rng.Intn(len(sizes))]
+		switch r := rng.Intn(100); {
+		case r < 45:
+			gv, gerr := space(got).Load(vaddr, size)
+			wv, werr := refLoad(space(want), vaddr, size)
+			if gv != wv || !sameErr(gerr, werr) {
+				t.Fatalf("op %d: Load(%#x, %d) = %#x, %v; reference %#x, %v", i, vaddr, size, gv, gerr, wv, werr)
+			}
+		case r < 90:
+			val := rng.Uint32()
+			gerr := space(got).Store(vaddr, size, val)
+			werr := refStore(space(want), vaddr, size, val)
+			if !sameErr(gerr, werr) {
+				t.Fatalf("op %d: Store(%#x, %d) = %v; reference %v", i, vaddr, size, gerr, werr)
+			}
+		case r < 95: // remap a page to the spare frame or back, in either space
+			vp := uint32(fxBase/PageSize + rng.Intn(fxPages))
+			f := spare
+			if rng.Intn(2) == 0 {
+				f = got.frames[rng.Intn(len(got.frames))]
+			}
+			space(got).Map(vp, f)
+			space(want).Map(vp, f)
+		default:
+			vp := uint32(fxBase/PageSize + rng.Intn(fxPages))
+			space(got).Unmap(vp)
+			space(want).Unmap(vp)
+		}
+	}
+	if !bytes.Equal(got.memory(), want.memory()) {
+		t.Fatal("memory differs from reference")
+	}
+	if !reflect.DeepEqual(got.dev.calls, want.dev.calls) {
+		t.Fatalf("MMIO calls differ from reference: %d vs %d calls", len(got.dev.calls), len(want.dev.calls))
+	}
+}
+
+// TestLoadStoreAllocations: word accesses to RAM allocate nothing, on
+// the cached page, across pages and through the global space.
+func TestLoadStoreAllocations(t *testing.T) {
+	fx := newFixture()
+	addrs := []uint32{0x10*PageSize + 8, 0x11*PageSize + 12, 0x11*PageSize - 2, 0x18*PageSize + 4}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, va := range addrs {
+			v, err := fx.g.Load(va, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fx.g.Store(va, 2, v+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); a != 0 {
+		t.Errorf("Load/Store allocs/op = %v, want 0", a)
+	}
 }
 
 // TestBytesAllocations guards the RAM fast path: WriteBytes allocates
@@ -408,3 +592,25 @@ func BenchmarkReadBytesMTU(b *testing.B) { benchBytes(b, false) }
 
 // BenchmarkWriteBytesMTU writes a 1500-byte frame straddling a page.
 func BenchmarkWriteBytesMTU(b *testing.B) { benchBytes(b, true) }
+
+// BenchmarkLoadStoreWord measures the interpreter's memory-operand shape:
+// one 4-byte load and one 4-byte store per op, in 4-byte strides over
+// guest pages 0x10-0x11, then 0x16-0x17, so the page changes every 1024
+// ops.
+func BenchmarkLoadStoreWord(b *testing.B) {
+	fx := newFixture()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		va := uint32(0x10*PageSize) + uint32(i&2047)*4
+		if i&2048 != 0 {
+			va += 6 * PageSize
+		}
+		v, err := fx.g.Load(va, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fx.g.Store(va, 4, v+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

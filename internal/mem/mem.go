@@ -10,7 +10,10 @@
 // run without an address-space switch.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the size of a page/frame in bytes.
 const PageSize = 4096
@@ -185,13 +188,15 @@ type AddressSpace struct {
 	pt map[uint32]uint32 // vpage -> frame; the source of truth
 
 	// tc is a direct-mapped cache of local page-table lookups, hits and
-	// misses alike, in front of pt; every Map/Unmap clears it. Lookups
-	// fill it, so even LookupLocal writes the AddressSpace. That is safe
-	// only because the simulated machine is one CPU: no two goroutines
-	// translate through the same space at once (the twin's parallel
-	// per-queue service loops serialize all execution under core's
-	// execMu), and page-table mutations are setup-time or SVM first-touch
-	// Map/Unmap calls on that same serialized path.
+	// misses alike, in front of pt; every Map/Unmap clears it. A hit
+	// also carries the frame's RAM, so Load and Store reach a cached
+	// RAM page without touching Physical. Lookups fill it, so even
+	// LookupLocal writes the AddressSpace. That is safe only because the
+	// simulated machine is one CPU: no two goroutines translate through
+	// the same space at once (the twin's parallel per-queue service
+	// loops serialize all execution under core's execMu), and page-table
+	// mutations are setup-time or SVM first-touch Map/Unmap calls on
+	// that same serialized path.
 	tc      [tcEntries]tcEntry
 	tcDirty bool // some tc entry may be valid
 }
@@ -199,8 +204,10 @@ type AddressSpace struct {
 // tcEntries is the size of the translation cache; a power of two.
 const tcEntries = 64
 
-// tcEntry caches one local lookup; frame is meaningful only when ok.
+// tcEntry caches one local lookup. frame is meaningful only when ok; ram
+// is then the frame's storage, nil for a frame without RAM (MMIO).
 type tcEntry struct {
+	ram          *[PageSize]byte
 	vpage, frame uint32
 	valid, ok    bool
 }
@@ -238,6 +245,34 @@ func (as *AddressSpace) flushTC() {
 	}
 }
 
+// local returns vpage's translation-cache entry, filling it from the
+// local page table on a miss.
+func (as *AddressSpace) local(vpage uint32) *tcEntry {
+	e := &as.tc[vpage&(tcEntries-1)]
+	if e.valid && e.vpage == vpage {
+		return e
+	}
+	f, ok := as.pt[vpage]
+	*e = tcEntry{vpage: vpage, frame: f, valid: true, ok: ok}
+	if ok {
+		e.ram = as.Phys.FrameData(f)
+	}
+	as.tcDirty = true
+	return e
+}
+
+// ramFor returns the RAM behind vpage, resolved like Lookup, or nil when
+// the page is unmapped or has no RAM (MMIO). A page is cached only by the
+// space whose own table maps it, so a Map or Unmap there invalidates it.
+func (as *AddressSpace) ramFor(vpage uint32) *[PageSize]byte {
+	for s := as; s != nil; s = s.Global {
+		if e := s.local(vpage); e.ok {
+			return e.ram
+		}
+	}
+	return nil
+}
+
 // Lookup translates a virtual page to a frame, consulting the global space.
 func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
 	if f, ok := as.LookupLocal(vpage); ok {
@@ -251,14 +286,8 @@ func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
 
 // LookupLocal translates only through the local table (no global chaining).
 func (as *AddressSpace) LookupLocal(vpage uint32) (uint32, bool) {
-	e := &as.tc[vpage&(tcEntries-1)]
-	if e.valid && e.vpage == vpage {
-		return e.frame, e.ok
-	}
-	f, ok := as.pt[vpage]
-	*e = tcEntry{vpage: vpage, frame: f, valid: true, ok: ok}
-	as.tcDirty = true
-	return f, ok
+	e := as.local(vpage)
+	return e.frame, e.ok
 }
 
 // Translate converts a virtual address to a physical address.
@@ -272,9 +301,20 @@ func (as *AddressSpace) Translate(vaddr uint32) (uint32, bool) {
 
 // Load reads size (1/2/4) bytes at vaddr, handling page-straddling accesses
 // (the ISA permits unaligned access, which is why SVM maps two consecutive
-// pages per stlb miss).
+// pages per stlb miss). An access within one RAM page reads the frame
+// directly; every other access takes the translate-then-physical path.
 func (as *AddressSpace) Load(vaddr uint32, size uint32) (uint32, error) {
-	if (vaddr&PageMask)+size <= PageSize {
+	if off := vaddr & PageMask; off+size <= PageSize {
+		if fr := as.ramFor(vaddr / PageSize); fr != nil {
+			switch size {
+			case 4:
+				return binary.LittleEndian.Uint32(fr[off:]), nil
+			case 2:
+				return uint32(binary.LittleEndian.Uint16(fr[off:])), nil
+			case 1:
+				return uint32(fr[off]), nil
+			}
+		}
 		pa, ok := as.Translate(vaddr)
 		if !ok {
 			return 0, &PageFault{Space: as.Name, Addr: vaddr}
@@ -292,9 +332,23 @@ func (as *AddressSpace) Load(vaddr uint32, size uint32) (uint32, error) {
 	return v, nil
 }
 
-// Store writes size (1/2/4) bytes at vaddr.
+// Store writes size (1/2/4) bytes at vaddr, through the same two paths
+// as Load.
 func (as *AddressSpace) Store(vaddr uint32, size uint32, val uint32) error {
-	if (vaddr&PageMask)+size <= PageSize {
+	if off := vaddr & PageMask; off+size <= PageSize {
+		if fr := as.ramFor(vaddr / PageSize); fr != nil {
+			switch size {
+			case 4:
+				binary.LittleEndian.PutUint32(fr[off:], val)
+				return nil
+			case 2:
+				binary.LittleEndian.PutUint16(fr[off:], uint16(val))
+				return nil
+			case 1:
+				fr[off] = byte(val)
+				return nil
+			}
+		}
 		pa, ok := as.Translate(vaddr)
 		if !ok {
 			return &PageFault{Space: as.Name, Addr: vaddr, Write: true}
@@ -363,11 +417,9 @@ func (as *AddressSpace) walk(vaddr uint32, n int, fn func(off int, ram []byte, s
 			size = n - off
 		}
 		var ram []byte
-		if f, ok := as.Lookup(va / PageSize); ok {
-			if fr := as.Phys.FrameData(f); fr != nil {
-				po := va & PageMask
-				ram = fr[po : po+uint32(size)]
-			}
+		if fr := as.ramFor(va / PageSize); fr != nil {
+			po := va & PageMask
+			ram = fr[po : po+uint32(size)]
 		}
 		if err := fn(off, ram, size); err != nil {
 			return err

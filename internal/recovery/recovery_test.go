@@ -8,6 +8,9 @@ import (
 
 	"twindrivers/internal/core"
 	"twindrivers/internal/e1000"
+	"twindrivers/internal/kernel"
+	"twindrivers/internal/mqnic"
+	"twindrivers/internal/xen"
 )
 
 // TestInjectorAdapterOffsets pins the adapter equates the injectors
@@ -296,5 +299,59 @@ func TestLifetimeRecoveryBudget(t *testing.T) {
 	}
 	if !s.GivenUp || s.Recoveries() != 3 {
 		t.Fatalf("GivenUp=%v recoveries=%d", s.GivenUp, s.Recoveries())
+	}
+}
+
+// TestFaultStampOnMachineClockUnderQueueService: a fault tripped while a
+// multi-queue twin services queue >= 1 runs with that queue's meter
+// swapped in, but its FaultRecord must still be stamped on the machine
+// clock the supervisor's escalation window reads: no earlier than the
+// machine lifetime before the service call, no later than at Recover.
+func TestFaultStampOnMachineClockUnderQueueService(t *testing.T) {
+	m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.Devs[0]
+	d.Dev.SetOnTransmit(func([]byte) {})
+	var dom *xen.Domain
+	for _, g := range m.Guests {
+		if tw.QueueOf(g.ID) >= 1 {
+			dom = g
+			break
+		}
+	}
+	if dom == nil {
+		t.Fatal("no guest sharded onto queue >= 1")
+	}
+	// Only this guest stages, so the first driver invocation runs under
+	// its queue's meter.
+	m.HV.Switch(dom)
+	frame := core.EthernetFrame([6]byte{2, 2, 2, 2, 2, 2}, [6]byte{0x02, 0x60, 0, 0, 0, 1}, 0x0800, make([]byte, 200))
+	if n, err := tw.StageTransmitBatch(dom, [][]byte{frame}); err != nil || n != 1 {
+		t.Fatalf("stage: %d, %v", n, err)
+	}
+	// Point the adapter at the hypervisor's code: the invocation faults.
+	if err := m.Dom0.AS.Store(d.Netdev+kernel.NdPriv, 4, 0xF1000040); err != nil {
+		t.Fatal(err)
+	}
+	before := m.CPU.Meter.Lifetime()
+	if _, err := tw.ServiceRings(d, 0); !errors.Is(err, core.ErrDriverDead) {
+		t.Fatalf("ServiceRings err = %v, want ErrDriverDead", err)
+	}
+	log := tw.FaultLog()
+	if len(log) != 1 {
+		t.Fatalf("fault log has %d records, want 1", len(log))
+	}
+	atRecover := m.CPU.Meter.Lifetime()
+	s := New(m, tw, Policy{})
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if st := log[0].Cycle; st < before || st > atRecover {
+		t.Errorf("fault stamped at %d, want within the machine clock's [%d, %d]", st, before, atRecover)
+	}
+	if len(s.stamps) != 1 || s.stamps[0] != log[0].Cycle {
+		t.Errorf("escalation window holds %v, want the fault's stamp %d", s.stamps, log[0].Cycle)
 	}
 }
