@@ -148,6 +148,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"esp index", "f:\n\tmovl (%eax,%esp,4), %ecx\n", "index"},
 		{"bss init", "\t.bss\nx:\n\t.long 4\n", "initialised data in .bss"},
 		{"wrong operand count", "f:\n\taddl %eax\n", "wants 2 operand"},
+		{"imulb", "f:\n\timulb %ebx, %eax\n", "no two-operand 8-bit imul"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

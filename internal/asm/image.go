@@ -55,8 +55,122 @@ type Slot struct {
 	Size     uint8 // operand size in bytes: 1, 2 or 4 (never 0)
 	Rep      isa.Rep
 	Indirect bool
+	Form     Form // operand shape, for the interpreter's dispatch
 	Src      SlotOperand
 	Dst      SlotOperand
+}
+
+// Form names the operand shape of a slot for the interpreter's dispatch.
+// The hot 32-bit shapes each get a form the interpreter runs directly;
+// every other shape is FormGeneric. In the names, R is a register, I an
+// immediate and M one memory operand, destination first: FormMovRM is
+// "movl mem, %reg", FormMovMR is "movl %reg, mem".
+type Form uint8
+
+// Forms. Only size-4 instructions without a REP prefix, and with no
+// indirect target, get a form other than FormGeneric.
+const (
+	FormGeneric Form = iota
+	FormMovRR
+	FormMovRI
+	FormMovRM
+	FormMovMR
+	FormLea // lea mem, %reg
+	FormAddRR
+	FormAddRI
+	FormAddRM
+	FormSubRR
+	FormSubRI
+	FormCmpRR
+	FormCmpRI
+	FormCmpRM
+	FormAndRI
+	FormOrRR
+	FormXorRR
+	FormXorRM
+	FormTestRR
+	FormTestRI
+	FormShlRI
+	FormShrRI
+	FormInc // inc %reg
+	FormDec // dec %reg
+	FormJcc
+	FormJmp  // direct jmp
+	FormPush // push %reg
+	FormPop  // pop %reg
+	NumForms
+)
+
+// shape is an operation with its source and destination operand kinds.
+type shape struct {
+	op       isa.Op
+	src, dst isa.OperandKind
+}
+
+// FormOf returns the form decode assigns to s, from its op, size, REP
+// prefix, indirect flag and operand kinds.
+func FormOf(s *Slot) Form {
+	if s.Size != 4 || s.Rep != isa.RepNone || s.Indirect {
+		return FormGeneric
+	}
+	const n, r, i, m = isa.KindNone, isa.KindReg, isa.KindImm, isa.KindMem
+	switch (shape{s.Op, s.Src.Kind, s.Dst.Kind}) {
+	case shape{isa.MOV, r, r}:
+		return FormMovRR
+	case shape{isa.MOV, i, r}:
+		return FormMovRI
+	case shape{isa.MOV, m, r}:
+		return FormMovRM
+	case shape{isa.MOV, r, m}:
+		return FormMovMR
+	case shape{isa.LEA, m, r}:
+		return FormLea
+	case shape{isa.ADD, r, r}:
+		return FormAddRR
+	case shape{isa.ADD, i, r}:
+		return FormAddRI
+	case shape{isa.ADD, m, r}:
+		return FormAddRM
+	case shape{isa.SUB, r, r}:
+		return FormSubRR
+	case shape{isa.SUB, i, r}:
+		return FormSubRI
+	case shape{isa.CMP, r, r}:
+		return FormCmpRR
+	case shape{isa.CMP, i, r}:
+		return FormCmpRI
+	case shape{isa.CMP, m, r}:
+		return FormCmpRM
+	case shape{isa.AND, i, r}:
+		return FormAndRI
+	case shape{isa.OR, r, r}:
+		return FormOrRR
+	case shape{isa.XOR, r, r}:
+		return FormXorRR
+	case shape{isa.XOR, m, r}:
+		return FormXorRM
+	case shape{isa.TEST, r, r}:
+		return FormTestRR
+	case shape{isa.TEST, i, r}:
+		return FormTestRI
+	case shape{isa.SHL, i, r}:
+		return FormShlRI
+	case shape{isa.SHR, i, r}:
+		return FormShrRI
+	case shape{isa.INC, n, r}:
+		return FormInc
+	case shape{isa.DEC, n, r}:
+		return FormDec
+	case shape{isa.JCC, n, n}:
+		return FormJcc
+	case shape{isa.JMP, n, n}:
+		return FormJmp
+	case shape{isa.PUSH, r, n}:
+		return FormPush
+	case shape{isa.POP, n, r}:
+		return FormPop
+	}
+	return FormGeneric
 }
 
 // SlotOperand is a linked operand: isa.Operand with its symbol folded
@@ -74,7 +188,7 @@ type SlotOperand struct {
 // decode converts a folded instruction (no symbol left in its operands)
 // and its resolved branch target into a slot.
 func decode(in *isa.Inst, target uint32) Slot {
-	return Slot{
+	s := Slot{
 		Target:   target,
 		Op:       in.Op,
 		Cond:     in.Cond,
@@ -84,6 +198,8 @@ func decode(in *isa.Inst, target uint32) Slot {
 		Src:      decodeOperand(&in.Src),
 		Dst:      decodeOperand(&in.Dst),
 	}
+	s.Form = FormOf(&s)
+	return s
 }
 
 func decodeOperand(o *isa.Operand) SlotOperand {

@@ -615,6 +615,9 @@ func (p *parser) decode(n int, mnemonic string, args []string) (isa.Inst, error)
 	if len(args) != nops {
 		return inst, p.errf(n, "%s wants %d operand(s), got %d", mnemonic, nops, len(args))
 	}
+	if op == isa.IMUL && size == 1 {
+		return inst, p.errf(n, "%s: no two-operand 8-bit imul", mnemonic)
+	}
 	switch nops {
 	case 1:
 		o, err := p.operand(n, args[0])

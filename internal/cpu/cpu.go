@@ -296,13 +296,120 @@ func (c *CPU) run(shadowBase int) error {
 			return &Fault{Kind: FaultWatchdog, PC: pc, Msg: "instruction budget exhausted"}
 		}
 		c.Meter.Issue(pc)
-		done, err := c.step(in, shadowBase)
-		if err != nil {
-			return err
+
+		// The hot 32-bit shapes run here directly; every other shape is
+		// FormGeneric and runs through step, the reference each form
+		// must match (TestFormsMatchGeneric).
+		next := pc + asm.InstSlot
+		switch in.Form {
+		case asm.FormMovRR:
+			c.Regs[in.Dst.Reg] = c.Regs[in.Src.Reg]
+		case asm.FormMovRI:
+			c.Regs[in.Dst.Reg] = uint32(in.Src.Imm)
+		case asm.FormMovRM:
+			v, err := c.loadMem(&in.Src, 4)
+			if err != nil {
+				return err
+			}
+			c.Regs[in.Dst.Reg] = v
+		case asm.FormMovMR:
+			if err := c.storeMem(&in.Dst, 4, c.Regs[in.Src.Reg]); err != nil {
+				return err
+			}
+		case asm.FormLea:
+			c.Regs[in.Dst.Reg] = c.EA(&in.Src)
+		case asm.FormAddRR:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.addFlags(*d, c.Regs[in.Src.Reg], 0, 4)
+		case asm.FormAddRI:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.addFlags(*d, uint32(in.Src.Imm), 0, 4)
+		case asm.FormAddRM:
+			s, err := c.loadMem(&in.Src, 4)
+			if err != nil {
+				return err
+			}
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.addFlags(*d, s, 0, 4)
+		case asm.FormSubRR:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.subFlags(*d, c.Regs[in.Src.Reg], 0, 4)
+		case asm.FormSubRI:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.subFlags(*d, uint32(in.Src.Imm), 0, 4)
+		case asm.FormCmpRR:
+			c.subFlags(c.Regs[in.Dst.Reg], c.Regs[in.Src.Reg], 0, 4)
+		case asm.FormCmpRI:
+			c.subFlags(c.Regs[in.Dst.Reg], uint32(in.Src.Imm), 0, 4)
+		case asm.FormCmpRM:
+			s, err := c.loadMem(&in.Src, 4)
+			if err != nil {
+				return err
+			}
+			c.subFlags(c.Regs[in.Dst.Reg], s, 0, 4)
+		case asm.FormAndRI:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.logicFlags(*d&uint32(in.Src.Imm), 4)
+		case asm.FormOrRR:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.logicFlags(*d|c.Regs[in.Src.Reg], 4)
+		case asm.FormXorRR:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.logicFlags(*d^c.Regs[in.Src.Reg], 4)
+		case asm.FormXorRM:
+			s, err := c.loadMem(&in.Src, 4)
+			if err != nil {
+				return err
+			}
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.logicFlags(*d^s, 4)
+		case asm.FormTestRR:
+			c.logicFlags(c.Regs[in.Dst.Reg]&c.Regs[in.Src.Reg], 4)
+		case asm.FormTestRI:
+			c.logicFlags(c.Regs[in.Dst.Reg]&uint32(in.Src.Imm), 4)
+		case asm.FormShlRI:
+			if cnt := uint32(in.Src.Imm) & 31; cnt != 0 {
+				d := &c.Regs[in.Dst.Reg]
+				*d = c.shlFlags(*d, cnt, 4)
+			}
+		case asm.FormShrRI:
+			if cnt := uint32(in.Src.Imm) & 31; cnt != 0 {
+				d := &c.Regs[in.Dst.Reg]
+				*d = c.shrFlags(*d, cnt, 4)
+			}
+		case asm.FormInc:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.incFlags(*d, 4)
+		case asm.FormDec:
+			d := &c.Regs[in.Dst.Reg]
+			*d = c.decFlags(*d, 4)
+		case asm.FormJcc:
+			if c.cond(in.Cond) {
+				next = in.Target
+			}
+		case asm.FormJmp:
+			next = in.Target
+		case asm.FormPush:
+			if err := c.pushData(c.Regs[in.Src.Reg]); err != nil {
+				return err
+			}
+		case asm.FormPop:
+			v, err := c.popData()
+			if err != nil {
+				return err
+			}
+			c.Regs[in.Dst.Reg] = v
+		default:
+			done, err := c.step(in, shadowBase)
+			if err != nil {
+				return err
+			}
+			if done {
+				return nil
+			}
+			continue
 		}
-		if done {
-			return nil
-		}
+		c.PC = next
 	}
 }
 
@@ -326,13 +433,7 @@ func (c *CPU) loadOperand(o *asm.SlotOperand, size uint32) (uint32, error) {
 	case isa.KindReg:
 		return c.Regs[o.Reg] & sizeMask(size), nil
 	case isa.KindMem:
-		a := c.EA(o)
-		c.Meter.MemAccess(a)
-		v, err := c.AS.Load(a, size)
-		if err != nil {
-			return 0, c.pageFault(err, a)
-		}
-		return v, nil
+		return c.loadMem(o, size)
 	}
 	return 0, &Fault{Kind: FaultInvalidOp, PC: c.PC, Msg: "empty operand"}
 }
@@ -342,22 +443,51 @@ func (c *CPU) loadOperand(o *asm.SlotOperand, size uint32) (uint32, error) {
 func (c *CPU) storeOperand(o *asm.SlotOperand, size uint32, val uint32) error {
 	switch o.Kind {
 	case isa.KindReg:
-		if size == 4 {
-			c.Regs[o.Reg] = val
-		} else {
-			m := sizeMask(size)
-			c.Regs[o.Reg] = (c.Regs[o.Reg] &^ m) | (val & m)
-		}
+		c.storeReg(o.Reg, size, val)
 		return nil
 	case isa.KindMem:
-		a := c.EA(o)
-		c.Meter.MemAccess(a)
-		if err := c.AS.Store(a, size, val&sizeMask(size)); err != nil {
-			return c.pageFault(err, a)
-		}
-		return nil
+		return c.storeMem(o, size, val)
 	}
 	return &Fault{Kind: FaultInvalidOp, PC: c.PC, Msg: "bad store operand"}
+}
+
+// loadMem reads size bytes at a memory operand, charging the data access.
+func (c *CPU) loadMem(o *asm.SlotOperand, size uint32) (uint32, error) {
+	a := c.EA(o)
+	c.Meter.MemAccess(a)
+	v, err := c.AS.Load(a, size)
+	if err != nil {
+		return 0, c.pageFault(err, a)
+	}
+	return v, nil
+}
+
+// storeMem writes val (masked to size) to a memory operand, charging the
+// data access.
+func (c *CPU) storeMem(o *asm.SlotOperand, size uint32, val uint32) error {
+	a := c.EA(o)
+	c.Meter.MemAccess(a)
+	if err := c.AS.Store(a, size, val&sizeMask(size)); err != nil {
+		return c.pageFault(err, a)
+	}
+	return nil
+}
+
+// pushData pushes v, charging the data access at the new stack top.
+func (c *CPU) pushData(v uint32) error {
+	c.Meter.MemAccess(c.Regs[isa.ESP] - 4)
+	return c.Push(v)
+}
+
+// popData pops a word, charging the data access at the stack top; a
+// failed load is a page fault at the stack pointer.
+func (c *CPU) popData() (uint32, error) {
+	c.Meter.MemAccess(c.Regs[isa.ESP])
+	v, err := c.Pop()
+	if err != nil {
+		return 0, c.pageFault(err, c.Regs[isa.ESP])
+	}
+	return v, nil
 }
 
 func (c *CPU) pageFault(err error, addr uint32) error {
@@ -367,23 +497,66 @@ func (c *CPU) pageFault(err error, addr uint32) error {
 	return &Fault{Kind: FaultPage, PC: c.PC, Addr: addr, Msg: err.Error()}
 }
 
-func sizeMask(size uint32) uint32 {
-	switch size {
-	case 1:
-		return 0xFF
-	case 2:
-		return 0xFFFF
-	}
-	return 0xFFFFFFFF
+// sizeMask is the value mask of an operand size (1, 2 or 4 bytes).
+func sizeMask(size uint32) uint32 { return ^uint32(0) >> (32 - size*8) }
+
+// The flag helpers below hold each flag rule once. Their operands are
+// already masked to size. step passes the slot's size; the forms in run
+// pass a constant 4, and the helpers are small enough to inline there.
+
+// setZSO sets ZF and SF from the low size bytes of res and OF from the
+// size's sign bit of ov, and returns res masked to size.
+func (c *CPU) setZSO(res, ov, size uint32) uint32 {
+	top := 32 - size*8 // moves the size's sign bit to bit 31
+	res <<= top
+	c.ZF = res == 0
+	c.SF = int32(res) < 0
+	c.OF = int32(ov<<top) < 0
+	return res >> top
 }
 
-func signBit(size uint32) uint32 { return 1 << (size*8 - 1) }
+// addFlags returns d+s+carry at size and sets the flags ADD and ADC set.
+func (c *CPU) addFlags(d, s, carry, size uint32) uint32 {
+	r := uint64(d) + uint64(s) + uint64(carry)
+	c.CF = r>>(size*8) != 0
+	return c.setZSO(uint32(r), ^(d^s)&(d^uint32(r)), size)
+}
 
-// setZS sets ZF/SF from a result.
-func (c *CPU) setZS(v, size uint32) {
-	v &= sizeMask(size)
-	c.ZF = v == 0
-	c.SF = v&signBit(size) != 0
+// subFlags returns d-s-borrow at size and sets the flags SUB, SBB, CMP
+// and the string compares set.
+func (c *CPU) subFlags(d, s, borrow, size uint32) uint32 {
+	r := uint64(d) - uint64(s) - uint64(borrow)
+	c.CF = r>>63 != 0 // negative: a borrow out
+	return c.setZSO(uint32(r), (d^s)&(d^uint32(r)), size)
+}
+
+// logicFlags returns res at size and sets the flags AND, OR, XOR and TEST
+// set.
+func (c *CPU) logicFlags(res, size uint32) uint32 {
+	c.CF = false
+	return c.setZSO(res, 0, size)
+}
+
+// incFlags returns d+1 at size and sets the flags INC sets (CF is
+// unaffected, as on x86).
+func (c *CPU) incFlags(d, size uint32) uint32 { return c.setZSO(d+1, ^d&(d+1), size) }
+
+// decFlags returns d-1 at size and sets the flags DEC sets.
+func (c *CPU) decFlags(d, size uint32) uint32 { return c.setZSO(d-1, d&^(d-1), size) }
+
+// shlFlags returns d<<cnt at size, for a count of 1 to 31, and sets the
+// flags SHL sets. CF is the last bit shifted out; a count past the size
+// shifts out a zero (a Go shift by 32 or more is 0).
+func (c *CPU) shlFlags(d, cnt, size uint32) uint32 {
+	c.CF = d&(1<<(size*8-cnt)) != 0
+	return c.setZSO(d<<cnt, 0, size)
+}
+
+// shrFlags returns d>>cnt at size, for a count of 1 to 31, and sets the
+// flags SHR sets.
+func (c *CPU) shrFlags(d, cnt, size uint32) uint32 {
+	c.CF = d&(1<<(cnt-1)) != 0
+	return c.setZSO(d>>cnt, 0, size)
 }
 
 // flagsPack encodes flags in x86 EFLAGS bit positions.

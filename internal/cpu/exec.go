@@ -5,9 +5,11 @@ import (
 	"twindrivers/internal/isa"
 )
 
-// step executes one instruction; run has already charged its fetch and
-// 1-cycle issue cost. It returns done=true when a RET pops the
-// ReturnSentinel of the current Call frame.
+// step executes one instruction of any shape; run has already charged its
+// fetch and 1-cycle issue cost. run sends it every FormGeneric slot and
+// runs the other forms itself, and step is the reference those forms must
+// match. It returns done=true when a RET pops the ReturnSentinel of the
+// current Call frame.
 func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 	size := uint32(in.Size)
 	next := c.PC + asm.InstSlot
@@ -39,10 +41,7 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if v&signBit(size) != 0 {
-			v |= ^sizeMask(size)
-		}
-		if err := c.storeOperand(&in.Dst, 4, v); err != nil {
+		if err := c.storeOperand(&in.Dst, 4, uint32(signExtend(v, size))); err != nil {
 			return false, err
 		}
 
@@ -57,16 +56,14 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		c.Meter.MemAccess(c.Regs[isa.ESP] - 4)
-		if err := c.Push(v); err != nil {
+		if err := c.pushData(v); err != nil {
 			return false, err
 		}
 
 	case isa.POP:
-		c.Meter.MemAccess(c.Regs[isa.ESP])
-		v, err := c.Pop()
+		v, err := c.popData()
 		if err != nil {
-			return false, c.pageFault(err, c.Regs[isa.ESP])
+			return false, err
 		}
 		if err := c.storeOperand(&in.Dst, 4, v); err != nil {
 			return false, err
@@ -97,25 +94,15 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		carry := uint64(0)
+		carry := uint32(0)
 		if (in.Op == isa.ADC || in.Op == isa.SBB) && c.CF {
 			carry = 1
 		}
-		var r uint64
-		sub := in.Op == isa.SUB || in.Op == isa.SBB || in.Op == isa.CMP
-		if sub {
-			r = uint64(d) - uint64(s) - carry
+		var res uint32
+		if in.Op == isa.ADD || in.Op == isa.ADC {
+			res = c.addFlags(d, s, carry, size)
 		} else {
-			r = uint64(d) + uint64(s) + carry
-		}
-		res := uint32(r) & sizeMask(size)
-		c.setZS(res, size)
-		if sub {
-			c.CF = uint64(d) < uint64(s)+carry
-			c.OF = (d^s)&(d^res)&signBit(size) != 0
-		} else {
-			c.CF = r > uint64(sizeMask(size))
-			c.OF = ^(d^s)&(d^res)&signBit(size) != 0
+			res = c.subFlags(d, s, carry, size)
 		}
 		if in.Op != isa.CMP {
 			if err := c.storeOperand(&in.Dst, size, res); err != nil {
@@ -141,9 +128,7 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		case isa.XOR:
 			res = d ^ s
 		}
-		res &= sizeMask(size)
-		c.setZS(res, size)
-		c.CF, c.OF = false, false
+		res = c.logicFlags(res, size)
 		if in.Op != isa.TEST {
 			if err := c.storeOperand(&in.Dst, size, res); err != nil {
 				return false, err
@@ -160,24 +145,17 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		res := d
 		if cnt > 0 {
+			var res uint32
 			switch in.Op {
 			case isa.SHL:
-				c.CF = cnt <= size*8 && d&(1<<(size*8-cnt)) != 0
-				res = d << cnt
+				res = c.shlFlags(d, cnt, size)
 			case isa.SHR:
-				c.CF = d&(1<<(cnt-1)) != 0
-				res = d >> cnt
+				res = c.shrFlags(d, cnt, size)
 			case isa.SAR:
 				c.CF = d&(1<<(cnt-1)) != 0
-				w := size * 8
-				sv := int32(d<<(32-w)) >> (32 - w) // sign-extend to 32 bits
-				res = uint32(sv>>cnt) & sizeMask(size)
+				res = c.setZSO(uint32(signExtend(d, size)>>cnt), 0, size)
 			}
-			res &= sizeMask(size)
-			c.setZS(res, size)
-			c.OF = false
 			if err := c.storeOperand(&in.Dst, size, res); err != nil {
 				return false, err
 			}
@@ -190,13 +168,10 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		}
 		var res uint32
 		if in.Op == isa.INC {
-			res = (d + 1) & sizeMask(size)
-			c.OF = res == signBit(size)
+			res = c.incFlags(d, size)
 		} else {
-			res = (d - 1) & sizeMask(size)
-			c.OF = d == signBit(size)
+			res = c.decFlags(d, size)
 		}
-		c.setZS(res, size) // CF unaffected, as on x86
 		if err := c.storeOperand(&in.Dst, size, res); err != nil {
 			return false, err
 		}
@@ -206,10 +181,7 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		res := (-d) & sizeMask(size)
-		c.setZS(res, size)
-		c.CF = d != 0
-		c.OF = d == signBit(size)
+		res := c.subFlags(0, d, 0, size) // flags of 0-d
 		if err := c.storeOperand(&in.Dst, size, res); err != nil {
 			return false, err
 		}
@@ -232,29 +204,41 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		full := int64(int32(d)) * int64(int32(s))
-		res := uint32(full)
-		c.CF = full != int64(int32(res))
+		// The product of the size's signed operands; CF=OF when it does
+		// not fit the size.
+		full := int64(signExtend(d, size)) * int64(signExtend(s, size))
+		res := c.setZSO(uint32(full), 0, size)
+		c.CF = full != int64(signExtend(res, size))
 		c.OF = c.CF
-		c.setZS(res, size)
 		c.Meter.Add(3) // multiply latency
 		if err := c.storeOperand(&in.Dst, size, res); err != nil {
 			return false, err
 		}
 
 	case isa.MUL:
+		// mulb: AX = AL*src. mulw: DX:AX = AX*src. mull: EDX:EAX =
+		// EAX*src. CF=OF when the high half is non-zero.
 		s, err := c.loadOperand(&in.Dst, size)
 		if err != nil {
 			return false, err
 		}
-		full := uint64(c.Regs[isa.EAX]) * uint64(s)
-		c.Regs[isa.EAX] = uint32(full)
-		c.Regs[isa.EDX] = uint32(full >> 32)
-		c.CF = c.Regs[isa.EDX] != 0
+		full := uint64(c.Regs[isa.EAX]&sizeMask(size)) * uint64(s)
+		var hi uint32
+		if size == 1 {
+			c.storeReg(isa.EAX, 2, uint32(full))
+			hi = uint32(full >> 8)
+		} else {
+			c.storeReg(isa.EAX, size, uint32(full))
+			hi = uint32(full >> (size * 8))
+			c.storeReg(isa.EDX, size, hi)
+		}
+		c.CF = hi&sizeMask(size) != 0
 		c.OF = c.CF
 		c.Meter.Add(3)
 
 	case isa.DIV:
+		// divb: AL, AH = AX / src, AX % src. divw: AX, DX = DX:AX / src,
+		// DX:AX % src. divl: EAX, EDX = EDX:EAX / src, EDX:EAX % src.
 		s, err := c.loadOperand(&in.Dst, size)
 		if err != nil {
 			return false, err
@@ -262,13 +246,23 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		if s == 0 {
 			return false, &Fault{Kind: FaultDivide, PC: c.PC}
 		}
-		n := uint64(c.Regs[isa.EDX])<<32 | uint64(c.Regs[isa.EAX])
-		q := n / uint64(s)
-		if q > 0xFFFFFFFF {
+		w := size * 8
+		var n uint64
+		if size == 1 {
+			n = uint64(c.Regs[isa.EAX] & 0xFFFF)
+		} else {
+			n = uint64(c.Regs[isa.EDX]&sizeMask(size))<<w | uint64(c.Regs[isa.EAX]&sizeMask(size))
+		}
+		q, r := n/uint64(s), uint32(n%uint64(s))
+		if q > uint64(sizeMask(size)) {
 			return false, &Fault{Kind: FaultDivide, PC: c.PC, Msg: "quotient overflow"}
 		}
-		c.Regs[isa.EAX] = uint32(q)
-		c.Regs[isa.EDX] = uint32(n % uint64(s))
+		if size == 1 {
+			c.storeReg(isa.EAX, 2, r<<8|uint32(q))
+		} else {
+			c.storeReg(isa.EAX, size, uint32(q))
+			c.storeReg(isa.EDX, size, r)
+		}
 		c.Meter.Add(20) // divide latency
 
 	case isa.SETCC:
@@ -310,10 +304,9 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		return c.transferCall(t, next, shadowBase)
 
 	case isa.RET:
-		c.Meter.MemAccess(c.Regs[isa.ESP])
-		ra, err := c.Pop()
+		ra, err := c.popData()
 		if err != nil {
-			return false, c.pageFault(err, c.Regs[isa.ESP])
+			return false, err
 		}
 		if c.ShadowStack {
 			if len(c.shadow) > shadowBase {
@@ -335,16 +328,14 @@ func (c *CPU) step(in *asm.Slot, shadowBase int) (bool, error) {
 		return false, c.stringOp(in, size)
 
 	case isa.PUSHF:
-		c.Meter.MemAccess(c.Regs[isa.ESP] - 4)
-		if err := c.Push(c.flagsPack()); err != nil {
+		if err := c.pushData(c.flagsPack()); err != nil {
 			return false, err
 		}
 
 	case isa.POPF:
-		c.Meter.MemAccess(c.Regs[isa.ESP])
-		v, err := c.Pop()
+		v, err := c.popData()
 		if err != nil {
-			return false, c.pageFault(err, c.Regs[isa.ESP])
+			return false, err
 		}
 		c.flagsUnpack(v)
 
@@ -427,8 +418,7 @@ func (c *CPU) transferCall(t, ra uint32, _ int) (bool, error) {
 	if e, ok := c.externs[t]; ok {
 		// Native routine: simulate push of return address for the cdecl
 		// frame, invoke, pop, continue — all within this instruction.
-		c.Meter.MemAccess(c.Regs[isa.ESP] - 4)
-		if err := c.Push(ra); err != nil {
+		if err := c.pushData(ra); err != nil {
 			return false, err
 		}
 		if c.OnExternCall != nil {
@@ -448,8 +438,7 @@ func (c *CPU) transferCall(t, ra uint32, _ int) (bool, error) {
 	if !c.validTarget(t) {
 		return false, &Fault{Kind: FaultBadCall, PC: c.PC, Addr: t}
 	}
-	c.Meter.MemAccess(c.Regs[isa.ESP] - 4)
-	if err := c.Push(ra); err != nil {
+	if err := c.pushData(ra); err != nil {
 		return false, err
 	}
 	if c.ShadowStack {
@@ -512,10 +501,7 @@ func (c *CPU) stringOp(in *asm.Slot, size uint32) error {
 			if b, err = c.AS.Load(c.Regs[isa.EDI], size); err != nil {
 				return c.pageFault(err, c.Regs[isa.EDI])
 			}
-			res := (a - b) & sizeMask(size)
-			c.setZS(res, size)
-			c.CF = a < b
-			c.OF = (a^b)&(a^res)&signBit(size) != 0
+			c.subFlags(a, b, 0, size)
 			c.Regs[isa.ESI] += size
 			c.Regs[isa.EDI] += size
 		case isa.SCAS:
@@ -524,11 +510,7 @@ func (c *CPU) stringOp(in *asm.Slot, size uint32) error {
 			if b, err = c.AS.Load(c.Regs[isa.EDI], size); err != nil {
 				return c.pageFault(err, c.Regs[isa.EDI])
 			}
-			a := c.Regs[isa.EAX] & sizeMask(size)
-			res := (a - b) & sizeMask(size)
-			c.setZS(res, size)
-			c.CF = a < b
-			c.OF = (a^b)&(a^res)&signBit(size) != 0
+			c.subFlags(c.Regs[isa.EAX]&sizeMask(size), b, 0, size)
 			c.Regs[isa.EDI] += size
 		}
 		c.Meter.Add(1)
@@ -547,4 +529,16 @@ func (c *CPU) stringOp(in *asm.Slot, size uint32) error {
 	}
 	c.PC += asm.InstSlot
 	return nil
+}
+
+// signExtend sign-extends the low size bytes of v to 32 bits.
+func signExtend(v, size uint32) int32 {
+	w := size * 8
+	return int32(v<<(32-w)) >> (32 - w)
+}
+
+// storeReg writes the low size bytes of r, preserving its upper bits.
+func (c *CPU) storeReg(r isa.Reg, size, val uint32) {
+	m := sizeMask(size)
+	c.Regs[r] = c.Regs[r]&^m | val&m
 }

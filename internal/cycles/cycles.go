@@ -72,7 +72,8 @@ func denseIndex(c Component) int {
 // SetComponent or Reset marks the bucket charged and points bucket at it,
 // so every later Add is one indirect increment.
 //
-// A Meter holds a pointer into itself and must not be copied.
+// A Meter holds a pointer into itself and must not be copied; make one
+// with NewMeter, whose cold start the Issue shortcut relies on.
 type Meter struct {
 	dense   [numDense]uint64
 	bucket  *uint64              // &dense[cur], charged since SetComponent/Reset; else nil
@@ -98,9 +99,10 @@ type Meter struct {
 
 	// tlbGen counts TLB fills and flushes. A TLB hit changes no state, so
 	// a page resident at generation g stays resident while tlbGen == g.
-	// The fetch side remembers its last line and page (iLine, iPage, both
-	// recorded at iGen), the data side its last page (dPage, at dGen), and
-	// each skips the probes whose outcome is already known.
+	// The fetch side remembers its last page (iPage, at iGen) and its last
+	// line (iLine, reset to invalidTag whenever Issue could not trust it),
+	// the data side its last page (dPage, at dGen), and each skips the
+	// probes whose outcome is already known.
 	tlbGen uint64
 	iLine  uint32
 	iPage  uint32
@@ -128,7 +130,7 @@ func NewMeter() *Meter {
 func (m *Meter) SetComponent(c Component) {
 	m.current = c
 	m.cur = denseIndex(c)
-	m.bucket = nil
+	m.bucket, m.iLine = nil, invalidTag
 }
 
 // Component returns the current attribution bucket.
@@ -159,10 +161,13 @@ func (m *Meter) Add(n uint64) {
 
 // addFirst is Add's path for the first charge since SetComponent or Reset:
 // it marks the bucket charged and, for a paper bucket, points bucket at it.
+// A non-paper bucket leaves bucket nil, so it drops iLine (see Issue).
 func (m *Meter) addFirst(n uint64) {
 	m.charge(m.cur, m.current, n)
 	if m.cur >= 0 {
 		m.bucket = &m.dense[m.cur]
+	} else {
+		m.iLine = invalidTag
 	}
 }
 
@@ -197,7 +202,7 @@ func (m *Meter) tlbAccess(vpage uint32) uint64 {
 	}
 	m.tlb[set][m.tlbRR[set]] = vpage
 	m.tlbRR[set] = (m.tlbRR[set] + 1) % tlbWays
-	m.tlbGen++
+	m.tlbGen, m.iLine = m.tlbGen+1, invalidTag
 	m.TLBMisses++
 	return CostTLBMiss
 }
@@ -228,25 +233,35 @@ func (m *Meter) MemAccess(vaddr uint32) uint64 {
 // L2 penalty (amortised across the straight-line code in the line); hits
 // are free (fetch is pipelined). Shares the TLB with the data side.
 func (m *Meter) IFetch(pc uint32) uint64 {
-	cost := m.fetch(pc)
+	var cost uint64
+	if pc>>l1LineShift != m.iLine {
+		cost = m.probeFetch(pc)
+	}
 	m.Add(cost)
 	return cost
 }
 
 // Issue charges the fetch of the instruction at pc plus its 1-cycle issue
 // cost, in one Add. It is IFetch(pc) followed by Add(1).
-func (m *Meter) Issue(pc uint32) { m.Add(m.fetch(pc) + 1) }
-
-// fetch returns the fetch cost at pc. Refetching the last line needs no
-// probe while no TLB fill or flush intervened: its page hits then, and
-// the L1I changes only on fetch misses (which move iLine) and flushes
-// (which move tlbGen).
-func (m *Meter) fetch(pc uint32) uint64 {
-	if pc>>l1LineShift == m.iLine && m.tlbGen == m.iGen {
-		return 0
+//
+// Refetching the last line is free and needs no probe, so the common case
+// is one compare and one increment. That rests on one invariant: iLine is
+// either invalidTag or the last fetched line, with no TLB fill or flush
+// since it was fetched and bucket non-nil. Its page then still hits, and
+// the L1I still holds it (the L1I changes only on fetch misses, which move
+// iLine, and on flushes). Every TLB fill, FlushHW, SetComponent, Reset and
+// charge to a non-paper bucket resets iLine; each reset costs at most one
+// re-probe of a resident line, which hits at zero cost.
+func (m *Meter) Issue(pc uint32) {
+	if pc>>l1LineShift == m.iLine {
+		*m.bucket++
+		return
 	}
-	return m.probeFetch(pc)
+	m.issueProbe(pc)
 }
+
+// issueProbe is Issue's out-of-line path for a fetch from a new line.
+func (m *Meter) issueProbe(pc uint32) { m.Add(m.probeFetch(pc) + 1) }
 
 // probeFetch runs the L1I probe for a fetch at pc, and the TLB probe
 // unless pc is in the last fetched page with no fill or flush since.
@@ -292,7 +307,7 @@ func (m *Meter) FlushHW() {
 	for i := range m.l1i {
 		m.l1i[i] = invalidTag
 	}
-	m.tlbGen++
+	m.tlbGen, m.iLine = m.tlbGen+1, invalidTag
 	m.Flushes++
 }
 
@@ -343,6 +358,7 @@ func (m *Meter) Breakdown() map[Component]uint64 {
 func (m *Meter) Reset() {
 	m.lifetime += m.Total()
 	m.dense, m.charged, m.other, m.bucket = [numDense]uint64{}, 0, nil, nil
+	m.iLine = invalidTag
 	m.TLBMisses, m.L1Misses, m.L1IMisses, m.MemAccesses = 0, 0, 0, 0
 }
 

@@ -283,6 +283,26 @@ func BenchmarkIFetch(b *testing.B) {
 	}
 }
 
+// BenchmarkIssue measures the per-instruction fetch-and-issue charge.
+// same-line refetches the line of the last fetch (eight instructions per
+// line, the straight-line case the inlined shortcut serves); new-line
+// moves to a resident line on every issue, so each takes the probe path.
+func BenchmarkIssue(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stride uint32
+	}{{"same-line", 0}, {"new-line", 1 << l1LineShift}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMeter()
+			m.SetComponent(CompDriver)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Issue(0x100000 + uint32(i&7)*8 + uint32(i&63)*bc.stride)
+			}
+		})
+	}
+}
+
 // BenchmarkMemAccess measures one data access through the TLB and L1D
 // model: 4-byte strides over 16 KiB, four pages.
 func BenchmarkMemAccess(b *testing.B) {

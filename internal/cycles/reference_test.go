@@ -343,6 +343,78 @@ func TestMeterFastPathMatchesReference(t *testing.T) {
 			p.m.Add(2) // charged after a Merge marked the bucket
 			p.r.add(p.r.current, 2)
 		},
+		// The cases below put each iLine reset of Issue's shortcut
+		// between two fetches from one line.
+		"non-paper charges between same-line issues, then a paper bucket": func(p *meterPair) {
+			p.m.SetComponent(CompDriver)
+			p.r.current = CompDriver
+			p.m.Issue(pc)
+			p.r.add(p.r.current, p.r.fetchCost(pc)+1)
+			p.m.PushComponent("upcall") // bucket is nil from here on
+			p.r.stack, p.r.current = append(p.r.stack, p.r.current), "upcall"
+			p.m.Issue(pc + 8)
+			p.r.add(p.r.current, p.r.fetchCost(pc+8)+1)
+			p.m.Add(2)
+			p.r.add(p.r.current, 2)
+			p.m.Issue(pc + 16)
+			p.r.add(p.r.current, p.r.fetchCost(pc+16)+1)
+			p.m.IFetch(pc + 24)
+			p.r.add(p.r.current, p.r.fetchCost(pc+24))
+			p.m.Issue(pc + 24)
+			p.r.add(p.r.current, p.r.fetchCost(pc+24)+1)
+			p.m.PopComponent()
+			p.r.current, p.r.stack = p.r.stack[0], nil
+			p.m.Issue(pc + 32)
+			p.r.add(p.r.current, p.r.fetchCost(pc+32)+1)
+			p.m.Issue(pc + 40)
+			p.r.add(p.r.current, p.r.fetchCost(pc+40)+1)
+		},
+		"AddTo a non-paper bucket between same-line issues": func(p *meterPair) {
+			p.m.Issue(pc)
+			p.r.add(p.r.current, p.r.fetchCost(pc)+1)
+			p.m.AddTo("softirq", 3)
+			p.r.add("softirq", 3)
+			p.m.Issue(pc + 8)
+			p.r.add(p.r.current, p.r.fetchCost(pc+8)+1)
+		},
+		"Reset between same-line issues": func(p *meterPair) {
+			p.m.Issue(pc)
+			p.r.add(p.r.current, p.r.fetchCost(pc)+1)
+			p.m.Reset()
+			p.r.reset()
+			p.m.Issue(pc + 8) // the bucket's key must reappear
+			p.r.add(p.r.current, p.r.fetchCost(pc+8)+1)
+			p.m.Issue(pc + 16)
+			p.r.add(p.r.current, p.r.fetchCost(pc+16)+1)
+		},
+		"Merge between same-line issues": func(p *meterPair) {
+			p.m.Issue(pc)
+			p.r.add(p.r.current, p.r.fetchCost(pc)+1)
+			p.side.m.SetComponent(CompDomU)
+			p.side.r.current = CompDomU
+			p.side.m.Issue(pc)
+			p.side.r.add(CompDomU, p.side.r.fetchCost(pc)+1)
+			p.side.m.MemAccess(setMate(1))
+			p.side.r.memAccess(setMate(1))
+			p.m.Merge(p.side.m)
+			p.r.merge(p.side.r)
+			p.m.Issue(pc + 8)
+			p.r.add(p.r.current, p.r.fetchCost(pc+8)+1)
+		},
+		"data-side TLB fill in the fetched page's set between same-line issues": func(p *meterPair) {
+			p.m.Issue(pc)
+			p.r.add(p.r.current, p.r.fetchCost(pc)+1)
+			p.m.Issue(pc + 8)
+			p.r.add(p.r.current, p.r.fetchCost(pc+8)+1)
+			p.m.MemAccess(setMate(2) + 0x40) // fills a way of set 0
+			p.r.memAccess(setMate(2) + 0x40)
+			p.m.Issue(pc + 16)
+			p.r.add(p.r.current, p.r.fetchCost(pc+16)+1)
+			p.m.MemAccess(setMate(3)) // fills another way; the page survives
+			p.r.memAccess(setMate(3))
+			p.m.Issue(pc + 24)
+			p.r.add(p.r.current, p.r.fetchCost(pc+24)+1)
+		},
 	}
 	for name, run := range adversarial {
 		t.Run(name, func(t *testing.T) {
