@@ -1,7 +1,7 @@
 // Command twintrace runs any registered experiment with runtime
 // telemetry on and writes the observability artifacts: a Chrome
 // trace-event JSON (open it in chrome://tracing or ui.perfetto.dev —
-// per-queue goroutine lanes, fault→recovery spans), a folded-stacks
+// per-queue lanes, fault→recovery spans), a folded-stacks
 // cycle profile (feed it to flamegraph.pl or speedscope), and the
 // metrics registry snapshot as JSON and Prometheus text.
 //

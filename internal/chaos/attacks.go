@@ -657,11 +657,7 @@ func attackSwitchMacSpoof(s *Soak, g *soakGuest) error {
 	if s.tw.Dead || len(g.stagedQ) != 1 {
 		return nil // abort mid-stage, or the ring refused the frame
 	}
-	service := s.tw.ServiceRings
-	if s.cfg.Parallel {
-		service = s.tw.ServiceAllQueues
-	}
-	if _, err := service(s.d, 0); err != nil || s.tw.Dead {
+	if _, err := s.tw.ServiceRings(s.d, 0); err != nil || s.tw.Dead {
 		if errors.Is(err, core.ErrDriverDead) || s.tw.Dead {
 			return s.accountAbort()
 		}
@@ -815,8 +811,8 @@ func attackTxRingFlood(s *Soak, g *soakGuest) error {
 // budgeted service crossings — one full scheduler cycle's worth of
 // descriptors per crossing — the victim's frame must reach the wire
 // within a small bounded number of crossings regardless of the backlog
-// imbalance: the scheduler (classic round-robin or weighted DRR alike)
-// may not starve a backlogged guest behind a noisy neighbor.
+// imbalance: the DRR sweep, at unit or skewed weights alike, may not
+// starve a backlogged guest behind a noisy neighbor.
 func attackSchedNoisyNeighbor(s *Soak, g *soakGuest) error {
 	if err := s.serviceAll(); err != nil { // start from an empty ring
 		return err
@@ -845,7 +841,7 @@ func attackSchedNoisyNeighbor(s *Soak, g *soakGuest) error {
 		return nil // abort mid-stage, or the victim's ring refused the frame
 	}
 	// One scheduler cycle per crossing: every guest's weight in
-	// descriptors (weight 1 apiece under the classic sweep). The budget is
+	// descriptors (weight 1 apiece by default). The budget is
 	// per queue, so a sharded victim sees at least its own shard's cycle.
 	budget := 0
 	for _, other := range s.guests {

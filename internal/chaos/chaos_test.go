@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"twindrivers/internal/drivermodel"
+	"twindrivers/internal/telemetry"
 )
 
 // smokeConfig is the canonical soak: every traffic shape, hostile attacks
@@ -87,8 +88,9 @@ func TestSoakSmoke(t *testing.T) {
 // (weights 4:2:1, applied cyclically over four guests) and the inter-guest
 // switch engaged on every backend: weights reorder service and the switch
 // adds the spoof-drop surface, but neither may change whether a frame is
-// accounted — the exactly-once ledgers balance exactly as in the classic
-// soak, and the hostile scheduler's switch-mac-spoof attack runs for real.
+// accounted — the exactly-once ledgers balance exactly as in the
+// unit-weight soak, and the hostile scheduler's switch-mac-spoof attack
+// runs for real.
 func TestSoakWeightedSwitched(t *testing.T) {
 	for _, backend := range drivermodel.Names() {
 		t.Run(backend, func(t *testing.T) {
@@ -131,22 +133,26 @@ func TestSoakWeightedSwitched(t *testing.T) {
 }
 
 // TestSoakParallelQueues runs the canonical soak on the multi-queue
-// backend with ServiceAllQueues — one goroutine per service queue —
-// at several queue counts. Under -race this is the proof that the
-// per-queue service loops are shared-nothing: the goroutines touch no
-// common mutable state on their hot path. The exactly-once ledgers must
-// balance exactly as under the sequential sweep (wire interleaving
-// across queues may vary, per-guest order may not).
+// backend at several queue counts — the queues are parallel simulated
+// cores, each sweeping its own guest shard on its own meter. The
+// exactly-once ledgers must balance and containment must stay
+// one-for-one on every shard layout, and service is sequential on the
+// host, so the run is as seed-deterministic as the single-queue soak:
+// two runs of one seed agree on Digest and TraceDigest.
 func TestSoakParallelQueues(t *testing.T) {
 	for _, queues := range []int{2, 8} {
 		t.Run(fmt.Sprintf("q%d", queues), func(t *testing.T) {
-			cfg := smokeConfig("mqnic")
-			cfg.Queues = queues
-			cfg.Parallel = true
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("parallel soak: %v", err)
+			run := func() *Report {
+				cfg := smokeConfig("mqnic")
+				cfg.Queues = queues
+				cfg.Trace = telemetry.New(0)
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("multi-queue soak: %v", err)
+				}
+				return rep
 			}
+			rep := run()
 			wire, delivered := 0, 0
 			for i, l := range rep.Guests {
 				if l.OfferedTx != l.WireTx+l.LostTx {
@@ -159,11 +165,18 @@ func TestSoakParallelQueues(t *testing.T) {
 				delivered += l.DeliveredRx
 			}
 			if wire == 0 || delivered == 0 {
-				t.Fatalf("parallel soak moved no traffic: wire=%d delivered=%d", wire, delivered)
+				t.Fatalf("multi-queue soak moved no traffic: wire=%d delivered=%d", wire, delivered)
 			}
 			if rep.Faults != rep.Aborts || rep.Recoveries != rep.Aborts {
 				t.Fatalf("containment not one-for-one: faults=%d aborts=%d recoveries=%d",
 					rep.Faults, rep.Aborts, rep.Recoveries)
+			}
+			again := run()
+			if rep.Digest != again.Digest {
+				t.Fatalf("same seed, different digests:\n%s\n%s", rep.Digest, again.Digest)
+			}
+			if rep.TraceDigest == "" || rep.TraceDigest != again.TraceDigest {
+				t.Fatalf("same seed, different trace digests:\n%q\n%q", rep.TraceDigest, again.TraceDigest)
 			}
 		})
 	}

@@ -15,7 +15,7 @@ import (
 // valid Chrome trace with per-queue lanes and fault→recovery spans —
 // the artifacts cmd/twintrace ships and CI uploads.
 
-// tracedSmoke runs the canonical soak sequentially with a fresh tracer
+// tracedSmoke runs the canonical soak with a fresh tracer
 // attached and returns the tracer and report.
 func tracedSmoke(t *testing.T, backend string, seed uint64) (*telemetry.Tracer, *Report) {
 	t.Helper()

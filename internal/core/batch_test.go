@@ -110,6 +110,49 @@ func TestBatchLargerThanRingIsChunked(t *testing.T) {
 	}
 }
 
+// TestBatchCountsOnlyItsOwnFrames: descriptors a budgeted ServiceRings
+// left staged are older than the batch, so GuestTransmitBatch's drain
+// sends them first — but its return value counts only frames from the
+// batch, and every frame it counts is on the wire, in order, after the
+// leftovers.
+func TestBatchCountsOnlyItsOwnFrames(t *testing.T) {
+	m, tw, err := NewTwinMachine(1, 1, TwinConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.Devs[0]
+	got := capture(d)
+	m.HV.Switch(m.DomU)
+
+	staged := batchFrames(d, 10, 500)
+	if n, err := tw.StageTransmitBatch(m.DomU, staged); err != nil || n != len(staged) {
+		t.Fatalf("staged %d: %v", n, err)
+	}
+	if _, err := tw.ServiceRings(d, 5); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := tw.StagedTx(m.DomU.ID); left != 5 {
+		t.Fatalf("%d frames left staged, want 5", left)
+	}
+	batch := batchFrames(d, 32, 600)
+	sent, err := tw.GuestTransmitBatch(d, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != len(batch) {
+		t.Fatalf("sent = %d, want %d", sent, len(batch))
+	}
+	want := append(append([][]byte(nil), staged...), batch...)
+	if len(*got) != len(want) {
+		t.Fatalf("wire saw %d frames, want %d (10 staged + 32 batch)", len(*got), len(want))
+	}
+	for i, f := range want {
+		if !bytes.Equal((*got)[i], f) {
+			t.Fatalf("wire frame %d is not the expected frame", i)
+		}
+	}
+}
+
 func TestBatchRejectsOversizedFrame(t *testing.T) {
 	m, tw, err := NewTwinMachine(1, 1, TwinConfig{})
 	if err != nil {

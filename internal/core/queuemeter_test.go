@@ -5,7 +5,6 @@ package core_test
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"twindrivers/internal/core"
@@ -47,24 +46,21 @@ func runShardedTraffic(t *testing.T, guests, queues int) (*core.Machine, *core.T
 	return m, tw
 }
 
-// TestServiceAllQueuesMatchesSequential pins the parallel sweep to the
-// sequential one: the same staged workload serviced by ServiceAllQueues
-// (one goroutine per queue) must report the same per-guest sent counts
-// and put the same per-guest frame sequence on the wire as ServiceRings.
-// Run under -race in CI, this is also the shared-nothing proof for the
-// per-queue hot path.
-func TestServiceAllQueuesMatchesSequential(t *testing.T) {
-	run := func(parallel bool) (map[mem.Owner]int, map[int][][]byte) {
-		m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: 4})
+// TestServiceRingsQueuesMatchSingleQueue pins sharded service to the
+// one-queue sweep: the same staged workload serviced by ServiceRings on
+// four queues must report the same per-guest sent counts and put the same
+// per-guest frame sequence on the wire as on one queue, and each queue's
+// meter must carry exactly its own guests' work — charged, and nothing
+// charged to a queue that owns no guest.
+func TestServiceRingsQueuesMatchSingleQueue(t *testing.T) {
+	run := func(queues int) (map[mem.Owner]int, map[int][][]byte) {
+		m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: queues})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := m.Devs[0]
-		var mu sync.Mutex
 		byGuest := make(map[int][][]byte)
 		d.Dev.SetOnTransmit(func(pkt []byte) {
-			mu.Lock()
-			defer mu.Unlock()
 			// Source MAC byte 5 tags the staging guest (set below).
 			byGuest[int(pkt[11])] = append(byGuest[int(pkt[11])], append([]byte(nil), pkt...))
 		})
@@ -84,23 +80,39 @@ func TestServiceAllQueuesMatchesSequential(t *testing.T) {
 				t.Fatalf("guest %d stage: %v", gi, err)
 			}
 		}
-		service := tw.ServiceRings
-		if parallel {
-			service = tw.ServiceAllQueues
-		}
-		sent, err := service(d, 0)
+		sent, err := tw.ServiceRings(d, 0)
 		if err != nil {
-			t.Fatalf("service (parallel=%v): %v", parallel, err)
+			t.Fatalf("service (queues=%d): %v", queues, err)
+		}
+		if tw.QueueCount() != queues {
+			t.Fatalf("QueueCount = %d, want %d", tw.QueueCount(), queues)
+		}
+		owners := make(map[int]int)
+		for _, dom := range m.Guests {
+			owners[tw.QueueOf(dom.ID)]++
+		}
+		for q, qm := range tw.QueueMeters() {
+			if owners[q] > 0 && qm.Total() == 0 {
+				t.Errorf("queues=%d: queue %d owns %d guests but metered no cycles", queues, q, owners[q])
+			}
+			if owners[q] == 0 && qm.Total() != 0 {
+				t.Errorf("queues=%d: queue %d owns no guests but metered %d cycles", queues, q, qm.Total())
+			}
 		}
 		return sent, byGuest
 	}
-	seqSent, seqWire := run(false)
-	parSent, parWire := run(true)
-	if !reflect.DeepEqual(seqSent, parSent) {
-		t.Fatalf("sent maps differ: sequential %v, parallel %v", seqSent, parSent)
+	oneSent, oneWire := run(1)
+	shSent, shWire := run(4)
+	if !reflect.DeepEqual(oneSent, shSent) {
+		t.Fatalf("sent maps differ: one queue %v, four queues %v", oneSent, shSent)
 	}
-	if !reflect.DeepEqual(seqWire, parWire) {
-		t.Fatal("per-guest wire sequences differ between sequential and parallel service")
+	if !reflect.DeepEqual(oneWire, shWire) {
+		t.Fatal("per-guest wire sequences differ between one and four service queues")
+	}
+	for gi := 0; gi < 4; gi++ {
+		if len(shWire[gi]) != 6 {
+			t.Fatalf("guest %d put %d frames on the wire, want 6", gi, len(shWire[gi]))
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"twindrivers/internal/cost"
 	"twindrivers/internal/cycles"
 	"twindrivers/internal/kernel"
@@ -13,17 +11,16 @@ import (
 
 // Weighted-fair service scheduling and the inter-guest L2 switch.
 //
-// The classic sweep (twinbatch.go sweepQueue) is strict round-robin:
-// one staged descriptor plus one posted descriptor per guest per pass,
-// every guest equal. A production host serves hundreds of tenants with
-// different SLAs; this file replaces that loop — only when the
-// configuration asks for it — with deficit round-robin (DRR):
+// Every service crossing sweeps each queue's guests with deficit
+// round-robin (DRR), the one transmit scheduler:
 //
-//   - Each guest has a WEIGHT. Every round the guest's deficit counter
-//     grows by its weight (the quantum), and the sweep consumes one
-//     descriptor per deficit unit, so long-run throughput shares are
-//     proportional to weights: a weight-4 guest gets 4 descriptors for
-//     every 1 a weight-1 guest gets, regardless of backlog depth.
+//   - Each guest has a WEIGHT (TwinConfig.Weights; 1 when unset). Every
+//     round the guest's deficit counter grows by its weight (the
+//     quantum), and the sweep consumes one descriptor per deficit unit,
+//     so long-run throughput shares are proportional to weights: a
+//     weight-4 guest gets 4 descriptors for every 1 a weight-1 guest
+//     gets, regardless of backlog depth. At unit weights — the default —
+//     the sweep is plain round-robin: one descriptor per guest per visit.
 //   - The scheduler is WORK-CONSERVING: a guest with nothing staged has
 //     its deficit zeroed (it cannot hoard credit while idle), and the
 //     round loop keeps serving whoever has backlog until the budget is
@@ -31,16 +28,16 @@ import (
 //   - It is STARVATION-FREE: every weight clamps to at least 1, so any
 //     backlogged guest consumes at least one descriptor per full round
 //     no matter how heavy its neighbors are.
-//   - Each guest may also have a RATE limit: a hard cap on descriptors
-//     consumed per service crossing. A capped guest stops being
-//     serviced for the rest of the crossing and does not count as
-//     progress, so the sweep still terminates when only capped guests
-//     have backlog.
+//   - Each guest may also have a RATE limit (TwinConfig.Rates; 0, the
+//     default, is unlimited): a hard cap on descriptors consumed per
+//     service crossing. A capped guest stops being serviced for the rest
+//     of the crossing and does not count as progress, so the sweep still
+//     terminates when only capped guests have backlog.
 //
-// Activation is the repo's usual identity pin: nil Weights and nil
-// Rates (the default) never reach this file — sweepQueue dispatches
-// here only when t.drr is set, so every existing baseline keeps the
-// classic loop operation-for-operation.
+// One descriptor is one unit of service wherever it comes from: a visit
+// takes the guest's staged ring first and its posted-transmit ring only
+// when nothing is staged, so a guest with both backlogs drains its staged
+// frames before its posted ones.
 //
 // The inter-guest switch hooks the two transmit paths (xmitOne,
 // xmitPosted) behind a nil check: with TwinConfig.Switch set, each
@@ -73,13 +70,10 @@ func schedParam(vals []int, gi, def int) int {
 	return v
 }
 
-// SchedEnabled reports whether the DRR weighted-fair sweep is active.
-func (t *Twin) SchedEnabled() bool { return t.drr }
-
-// GuestWeight reports a guest's DRR weight (1 when the scheduler is
-// off or the domain has no transmit state: every guest weighs equal).
+// GuestWeight reports a guest's DRR weight (1 for a domain with no
+// transmit state).
 func (t *Twin) GuestWeight(dom mem.Owner) int {
-	if g, ok := t.guestIO[dom]; ok && t.drr {
+	if g, ok := t.guestIO[dom]; ok {
 		return g.weight
 	}
 	return 1
@@ -88,49 +82,47 @@ func (t *Twin) GuestWeight(dom mem.Owner) int {
 // GuestRate reports a guest's per-crossing descriptor cap (0 =
 // unlimited).
 func (t *Twin) GuestRate(dom mem.Owner) int {
-	if g, ok := t.guestIO[dom]; ok && t.drr {
+	if g, ok := t.guestIO[dom]; ok {
 		return g.rate
 	}
 	return 0
 }
 
-// qSched is one queue's persistent scheduler position (alongside the
-// PR 7 per-queue meters): pos is the next shard index the DRR cycle
-// visits, and carry marks a guest whose quantum was granted but whose
-// service a budget cut interrupted — the resume skips the re-grant, so
-// a budget boundary can never mint extra credit. Persisting the
-// position across crossings is what makes shares proportional in the
-// long run: without it every crossing would restart the cycle at the
-// shard's first guest, and early-shard guests would accrue a quantum
-// more often than late-shard ones whenever the budget cuts mid-cycle.
+// qSched is one queue's persistent scheduler position: pos is the next
+// shard index the DRR cycle visits, and carry marks a guest whose quantum
+// was granted but whose service a budget cut interrupted — the resume
+// skips the re-grant, so a budget boundary can never mint extra credit.
+// Persisting the position across crossings is what makes shares
+// proportional in the long run: without it every crossing would restart
+// the cycle at the shard's first guest, and early-shard guests would
+// accrue a quantum more often than late-shard ones whenever the budget
+// cuts mid-cycle.
 type qSched struct {
 	pos   int
 	carry bool
 }
 
-// sweepQueueDRR is the deficit-round-robin replacement for the classic
-// sweepQueue loop, over the same per-queue guest shard with the same
-// containment behavior (a corrupt ring or transmit fault aborts this
-// queue's sweep; other queues are isolated by the caller). budget
-// bounds total descriptors consumed this crossing (0 = drain).
+// sweepQueue is one service queue's DRR sweep over its guest shard.
+// budget bounds total descriptors consumed this crossing (0 = drain). A
+// corrupt ring or transmit fault aborts this queue's sweep; the caller
+// isolates the other queues. It returns the descriptors consumed.
 //
 // The cycle visits guests in shard order starting at the persisted
 // position. Each fresh visit grants the guest its weight in deficit,
-// then spends the deficit one descriptor at a time — staged ring
-// first, then posted-TX, exactly the classic pair. An empty backlog
-// zeroes the deficit (work conservation: idle guests donate rather
-// than hoard); a full cycle with no progress ends the sweep.
-func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
+// then spends the deficit one descriptor at a time (txStep). An empty
+// backlog zeroes the deficit (work conservation: idle guests donate
+// rather than hoard); a full cycle with no progress ends the sweep.
+func (t *Twin) sweepQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
 	shard := t.queueGuests[q]
 	st := &t.qSched[q]
 	// Rate accounting is per crossing: every guest starts fresh.
-	for _, id := range shard {
-		t.guestIO[id].served = 0
+	for _, g := range shard {
+		g.served = 0
 	}
 	consumed := 0
 	idle := 0
 	for idle < len(shard) {
-		g := t.guestIO[shard[st.pos]]
+		g := shard[st.pos]
 		fresh := !st.carry
 		st.carry = false
 		if g.rate > 0 && g.served >= g.rate {
@@ -151,9 +143,12 @@ func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (
 				st.carry = true
 				return consumed, nil
 			}
-			did, err := t.drrStep(d, g, sent)
+			did, err := t.txStep(d, g, sent)
+			if did {
+				consumed++
+			}
 			if err != nil {
-				return consumed + 1, err
+				return consumed, err
 			}
 			if !did {
 				// Work conservation: an idle guest donates its unspent
@@ -161,7 +156,6 @@ func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (
 				g.deficit = 0
 				break
 			}
-			consumed++
 			g.deficit--
 			g.served++
 			progressed = true
@@ -179,28 +173,19 @@ func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (
 	return consumed, nil
 }
 
-// drrStep consumes at most one descriptor for a guest: a staged-ring
-// frame if one is pending, otherwise a posted-TX descriptor. Error
-// handling matches the classic sweep exactly — a corrupt ring header
-// resets the ring and fails the sweep; a transmit fault resets the
-// staged ring and propagates.
-func (t *Twin) drrStep(d *NICDev, g *guestIO, sent map[mem.Owner]int) (bool, error) {
-	addr, n, ok, err := g.ring.Pop()
-	if err != nil {
-		_ = g.ring.Reset()
-		return false, fmt.Errorf("core: guest %d transmit ring: %w", g.dom.ID, err)
+// txStep consumes at most one descriptor for a guest: a staged-ring
+// frame if one is pending, otherwise a posted-TX descriptor (txpath.go).
+// A guest that never posts pays nothing for the posted ring — the
+// empty-ring check moves no simulated cycles.
+func (t *Twin) txStep(d *NICDev, g *guestIO, sent map[mem.Owner]int) (bool, error) {
+	did, err := t.txStaged(d, g)
+	if !did && err == nil {
+		return t.servicePostedTx(d, g, sent)
 	}
-	if ok {
-		if err := t.xmitOne(d, g, addr, int(n)); err != nil {
-			if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-				return true, rerr
-			}
-			return true, err
-		}
+	if err == nil {
 		sent[g.dom.ID]++
-		return true, nil
 	}
-	return t.servicePostedTx(d, g, sent)
+	return did, err
 }
 
 // --- Inter-guest L2 switch glue -------------------------------------

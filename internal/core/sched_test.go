@@ -2,13 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"twindrivers/internal/core"
 	"twindrivers/internal/mem"
 	"twindrivers/internal/mqnic"
+	"twindrivers/internal/xen"
 )
 
 // DRR weighted-fair scheduler properties (testing/quick, like the batch
@@ -204,9 +207,12 @@ func TestSchedRateLimit(t *testing.T) {
 	}
 }
 
-// TestSchedEqualWeightsMatchClassic: explicit equal weights produce
-// exactly the classic round-robin's per-guest counts and wire order on
-// a full drain — DRR with unit quantum degenerates to round-robin.
+// TestSchedEqualWeightsMatchClassic: the default configuration's sweep
+// is unit-weight DRR, which is round-robin. Explicit equal weights
+// produce exactly the default's per-guest counts and wire order, on a
+// staged-only full drain and on a guest mixing staged and posted
+// backlog, where a visit takes one descriptor — staged first — so the
+// guest's posted frames follow its staged ones.
 func TestSchedEqualWeightsMatchClassic(t *testing.T) {
 	run := func(cfg core.TwinConfig) (map[mem.Owner]int, [][]byte) {
 		m, tw, err := core.NewTwinMachine(1, 4, cfg)
@@ -235,60 +241,144 @@ func TestSchedEqualWeightsMatchClassic(t *testing.T) {
 	drrSent, drrWire := run(core.TwinConfig{Weights: []int{1, 1, 1, 1}})
 	for dom, n := range classicSent {
 		if drrSent[dom] != n {
-			t.Fatalf("guest %d: classic sent %d, unit-weight DRR sent %d", dom, n, drrSent[dom])
+			t.Fatalf("guest %d: default sent %d, unit-weight DRR sent %d", dom, n, drrSent[dom])
 		}
 	}
 	if len(classicWire) != len(drrWire) {
-		t.Fatalf("wire counts differ: classic %d, DRR %d", len(classicWire), len(drrWire))
+		t.Fatalf("wire counts differ: default %d, DRR %d", len(classicWire), len(drrWire))
 	}
 	for i := range classicWire {
 		if !bytes.Equal(classicWire[i], drrWire[i]) {
-			t.Fatalf("wire frame %d differs between classic and unit-weight DRR", i)
+			t.Fatalf("wire frame %d differs between default and unit-weight DRR", i)
 		}
+	}
+
+	// Mixed backlog: guest A stages S0 S1 and posts P0 P1, guest B stages
+	// B0 B1. One crossing cut by a budget of 3, then a full drain.
+	mixed := func(cfg core.TwinConfig) []string {
+		m, tw, err := core.NewTwinMachine(1, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := m.Devs[0]
+		var wire []string
+		d.NIC.OnTransmit = func(pkt []byte) {
+			// schedFrame's source MAC carries (guest, index) in bytes 10–11.
+			name := fmt.Sprintf("S%d", pkt[11])
+			switch {
+			case pkt[10] == 1:
+				name = fmt.Sprintf("B%d", pkt[11])
+			case pkt[11] >= 100:
+				name = fmt.Sprintf("P%d", pkt[11]-100)
+			}
+			wire = append(wire, name)
+		}
+		a, b := m.Guests[0], m.Guests[1]
+		for gi, dom := range []*xen.Domain{a, b} {
+			if _, err := tw.StageTransmitBatch(dom, [][]byte{schedFrame(gi, 0), schedFrame(gi, 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var posts []core.TxPost
+		for i := 0; i < 2; i++ {
+			f := schedFrame(0, 100+i)
+			buf := m.HV.AllocHeap(a, 2048)
+			if err := a.AS.WriteBytes(buf, f); err != nil {
+				t.Fatal(err)
+			}
+			posts = append(posts, core.TxPost{Addr: buf, Len: uint32(len(f))})
+		}
+		if n, err := tw.PostTxDescriptors(a, posts); err != nil || n != 2 {
+			t.Fatalf("posted %d: %v", n, err)
+		}
+		for _, budget := range []int{3, 0} {
+			if _, err := tw.ServiceRings(d, budget); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return wire
+	}
+	want := []string{"S0", "B0", "S1", "B1", "P0", "P1"}
+	if got := mixed(core.TwinConfig{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("default mixed-backlog wire order %v, want %v", got, want)
+	}
+	if got := mixed(core.TwinConfig{Weights: []int{1, 1}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unit-weight mixed-backlog wire order %v, want %v", got, want)
 	}
 }
 
-// TestServiceAllQueuesDRR: the weighted-fair sweep under the parallel
-// goroutine-per-queue service loops (run under -race in CI). Weights
-// apply within each queue's shard; the total drained must equal the
-// total staged and shares inside each shard follow the weights.
-func TestServiceAllQueuesDRR(t *testing.T) {
+// TestSchedSharesPerQueue: on a sharded backend each queue runs its own
+// DRR sweep, so weights apply within each queue's shard. Under
+// continuous backlog and a per-queue budget, every guest's share of its
+// shard's service follows its weight; a final full drain empties every
+// ring.
+func TestSchedSharesPerQueue(t *testing.T) {
 	const guests, queues = 8, 4
+	weights := []int{3, 1, 2}
 	m, tw, err := core.NewTwinMachineModel(1, guests, mqnic.DriverModel(), core.TwinConfig{
 		Queues:  queues,
-		Weights: []int{3, 1},
+		Weights: weights,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := m.Devs[0]
 	d.Dev.SetOnTransmit(func([]byte) {})
-	total := 0
 	for gi, dom := range m.Guests {
-		frames := make([][]byte, 12)
-		for i := range frames {
-			frames[i] = schedFrame(gi, i)
+		if w := tw.GuestWeight(dom.ID); w != weights[gi%len(weights)] {
+			t.Fatalf("guest %d weight = %d", gi, w)
 		}
-		n, err := tw.StageTransmitBatch(dom, frames)
-		if err != nil {
-			t.Fatalf("guest %d stage: %v", gi, err)
-		}
-		total += n
 	}
-	sent, err := tw.ServiceAllQueues(d, 0)
+	const crossings, budget = 30, 12
+	sent := make(map[mem.Owner]int)
+	for c := 0; c < crossings; c++ {
+		for gi := range m.Guests {
+			topUp(t, m, tw, gi)
+		}
+		got, err := tw.ServiceRings(d, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, n := range got {
+			sent[id] += n
+		}
+	}
+	shardW := make(map[int]int)
+	shardSent := make(map[int]int)
+	for _, dom := range m.Guests {
+		q := tw.QueueOf(dom.ID)
+		shardW[q] += tw.GuestWeight(dom.ID)
+		shardSent[q] += sent[dom.ID]
+	}
+	for q, n := range shardSent {
+		if n != crossings*budget {
+			t.Fatalf("queue %d served %d descriptors, want %d (budget %d × %d crossings)", q, n, crossings*budget, budget, crossings)
+		}
+	}
+	for gi, dom := range m.Guests {
+		q := tw.QueueOf(dom.ID)
+		want := float64(shardSent[q]) * float64(tw.GuestWeight(dom.ID)) / float64(shardW[q])
+		if got := float64(sent[dom.ID]); got < want*0.95 || got > want*1.05 {
+			t.Errorf("guest %d (queue %d, weight %d): served %.0f, want %.0f±5%%", gi, q, tw.GuestWeight(dom.ID), got, want)
+		}
+	}
+	staged := 0
+	for _, dom := range m.Guests {
+		n, err := tw.StagedTx(dom.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged += n
+	}
+	drained, err := tw.ServiceRings(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for _, n := range sent {
-		got += n
+	total := 0
+	for _, n := range drained {
+		total += n
 	}
-	if got != total {
-		t.Fatalf("drained %d of %d staged", got, total)
-	}
-	for gi, dom := range m.Guests {
-		if w := tw.GuestWeight(dom.ID); w != []int{3, 1}[gi%2] {
-			t.Fatalf("guest %d weight = %d", gi, w)
-		}
+	if total != staged {
+		t.Fatalf("drained %d of %d staged", total, staged)
 	}
 }

@@ -1,9 +1,6 @@
-// Traced parallel queue service. External test package: mqnic imports
+// Traced multi-queue service. External test package: mqnic imports
 // core, so this cannot live inside package core (same split as the
-// queue-meter tests). The CI race leg's -run pattern
-// (TestServiceAllQueues) picks this up, making it the proof that the
-// one-writer-per-lane discipline holds under the goroutine-per-queue
-// sweep.
+// queue-meter tests).
 package core_test
 
 import (
@@ -15,7 +12,10 @@ import (
 	"twindrivers/internal/telemetry"
 )
 
-func TestServiceAllQueuesTraced(t *testing.T) {
+// TestServiceRingsTracedQueues: a traced ServiceRings crossing on four
+// queues records each queue's sweep on its own lane, start paired with
+// end, and the whole trace exports as a valid Chrome trace.
+func TestServiceRingsTracedQueues(t *testing.T) {
 	const guests, queues = 8, 4
 	tr := telemetry.New(0)
 	m, tw, err := core.NewTwinMachineModel(1, guests, mqnic.DriverModel(), core.TwinConfig{
@@ -42,7 +42,7 @@ func TestServiceAllQueuesTraced(t *testing.T) {
 			t.Fatalf("guest %d stage: %v", gi, err)
 		}
 	}
-	if _, err := tw.ServiceAllQueues(d, 0); err != nil {
+	if _, err := tw.ServiceRings(d, 0); err != nil {
 		t.Fatalf("service: %v", err)
 	}
 
@@ -73,12 +73,12 @@ func TestServiceAllQueuesTraced(t *testing.T) {
 		t.Fatalf("found %d queue lanes, want %d", seen, queues)
 	}
 
-	// The parallel traced sweep must export a valid nested trace too.
+	// The per-queue lanes must export as a valid nested trace.
 	var sb strings.Builder
 	if err := telemetry.WriteChromeTrace(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := telemetry.ValidateChromeTrace([]byte(sb.String())); err != nil {
-		t.Fatalf("traced parallel sweep exports invalid chrome trace: %v", err)
+		t.Fatalf("traced multi-queue sweep exports invalid chrome trace: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"twindrivers/internal/asm"
 	"twindrivers/internal/cost"
@@ -69,9 +68,9 @@ type TwinConfig struct {
 
 	// Queues is the number of transmit service queues guests are sharded
 	// across. 0 means the model's own queue count; any value is clamped
-	// to [1, Model.Queues]. Single-queue backends always run the
-	// degenerate one-queue configuration, whose hot path is
-	// operation-for-operation the classic single-loop service.
+	// to [1, Model.Queues]. Each queue runs its own DRR sweep over its
+	// shard and, with more than one queue, meters its own simulated core;
+	// single-queue backends always run one queue on the machine meter.
 	Queues int
 
 	// Trace attaches a telemetry event tracer. Nil (the default) means
@@ -81,18 +80,17 @@ type TwinConfig struct {
 	// cycle meters, so enabling it cannot move a cyc/pkt number.
 	Trace *telemetry.Tracer
 
-	// Weights enables the deficit-round-robin weighted-fair scheduler:
-	// per-guest service weights applied to guests in index order
+	// Weights are the per-guest deficit-round-robin service weights of
+	// the transmit sweep (sched.go), applied to guests in index order
 	// (cyclically when shorter than the guest count; values < 1 clamp
-	// to 1). Nil or empty — the default — keeps the classic equal
-	// round-robin sweep, whose hot path is untouched and therefore
-	// cycle-identical to every pinned baseline (see sched.go).
+	// to 1). Nil or empty — the default — means unit weights: every
+	// guest gets one descriptor per visit, plain round-robin.
 	Weights []int
 
 	// Rates caps the descriptors each guest may consume per service
-	// crossing (a per-guest rate limit enforced by the DRR sweep), in
-	// index order like Weights; 0 means unlimited. Any non-empty Rates
-	// activates the DRR sweep even with nil Weights.
+	// crossing (a per-guest rate limit enforced by the sweep), in index
+	// order like Weights; 0 means unlimited. Nil or empty — the
+	// default — leaves every guest unlimited.
 	Rates []int
 
 	// Switch enables the inter-guest L2 switch (internal/vswitch):
@@ -241,12 +239,9 @@ type Twin struct {
 	macToDom      map[[6]byte]mem.Owner
 	pendingIRQ    []*NICDev // deferred while dom0 masks virtual interrupts
 
-	// drr selects the weighted-fair sweep (sched.go); false — the
-	// default — keeps the classic equal round-robin loop untouched.
 	// vsw is the inter-guest L2 switch, nil when disabled: the transmit
 	// paths only consult it behind a nil check, so the switched-off
 	// configuration carries no classification work at all.
-	drr bool
 	vsw *vswitch.Switch
 
 	// guestIO holds each guest's transmit-side I/O state, keyed by the
@@ -255,22 +250,17 @@ type Twin struct {
 	guestOrder []mem.Owner
 
 	// Per-queue service state: guests shard across nQueues service
-	// queues (queueGuests fixes each queue's round-robin order); with
+	// queues (queueGuests fixes each queue's DRR visit order); with
 	// more than one queue each gets its own cycle meter — its simulated
-	// core — merged into a machine-wide view at measurement time. execMu
-	// serializes all simulated-machine work when the per-queue loops run
-	// as concurrent goroutines: the Go-level structure is parallel, the
-	// one-CPU machine underneath is not.
+	// core — merged into a machine-wide view at measurement time.
 	nQueues     int
-	queueGuests [][]mem.Owner
+	queueGuests [][]*guestIO
 	queueMeters []*cycles.Meter
 	qSched      []qSched // per-queue DRR cycle position (sched.go)
-	execMu      sync.Mutex
 
 	// Telemetry: one control lane for machine-scoped events (hypercalls,
 	// faults, recoveries, deliveries, TLB traffic) plus one lane per
-	// service queue for sweep events, each written only under execMu or
-	// by its own queue's goroutine. All nil when tracing is off — every
+	// service queue for sweep events. All nil when tracing is off — every
 	// Record call then returns before touching anything. mMeter is the
 	// machine-wide meter captured before any per-queue swap, so
 	// control-lane stamps share one monotonic clock even when a fault
@@ -307,7 +297,7 @@ type guestIO struct {
 	txRing     *mem.Ring // guest-posted transmit scatter/gather descriptors
 	postedLost uint64    // posted-TX frames lost to containment, lifetime
 
-	// DRR scheduler state (sched.go); untouched on the classic path.
+	// DRR scheduler state (sched.go).
 	weight  int // descriptors of quantum added per deficit round
 	rate    int // max descriptors per service crossing; 0 = unlimited
 	deficit int // accumulated unspent quantum
@@ -390,7 +380,6 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 		pinsBySkb:   make(map[uint32][]uint32),
 		rxQueues:    make(map[mem.Owner]*rxQueue),
 		macToDom:    make(map[[6]byte]mem.Owner),
-		drr:         len(cfg.Weights) > 0 || len(cfg.Rates) > 0,
 	}
 	if cfg.Switch {
 		t.vsw = vswitch.New()
@@ -495,7 +484,7 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 	// degenerate configuration measures exactly what it always did; with
 	// more, each queue meters its own simulated core (own cold TLB/L1).
 	t.nQueues = cfg.Queues
-	t.queueGuests = make([][]mem.Owner, t.nQueues)
+	t.queueGuests = make([][]*guestIO, t.nQueues)
 	t.qSched = make([]qSched, t.nQueues)
 	if t.nQueues == 1 {
 		t.queueMeters = []*cycles.Meter{hv.Meter}
@@ -532,7 +521,7 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 		if t.vsw != nil {
 			t.vsw.AddPort(g.ID)
 		}
-		t.queueGuests[io.queue] = append(t.queueGuests[io.queue], g.ID)
+		t.queueGuests[io.queue] = append(t.queueGuests[io.queue], io)
 		// Guest-side transmit bounce buffer (stands in for the guest's own
 		// packet pages; the paravirtual driver hands their addresses down).
 		io.bounce = hv.AllocHeap(g, GuestBounceBytes)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"twindrivers/internal/mem"
 	"twindrivers/internal/telemetry"
@@ -40,10 +39,13 @@ const (
 // the hypervisor driver with one hypercall per ring-full of frames: the
 // frames are staged in guest memory, their descriptors published on the
 // guest's ring, and the hypervisor drains the ring inside a single
-// boundary crossing. It returns the number of frames transmitted; on error
-// (including ErrTxBusy when the buffer pool or device ring fills
-// mid-batch) the remaining staged descriptors are discarded, exactly as a
-// real batched hypercall reports a short completion count.
+// boundary crossing. It returns the number of frames from the batch that
+// were transmitted; on error (including ErrTxBusy when the buffer pool or
+// device ring fills mid-batch) the remaining staged descriptors are
+// discarded, exactly as a real batched hypercall reports a short
+// completion count. Descriptors an earlier budgeted ServiceRings left on
+// the ring are older than the batch, so the drain sends them first; they
+// are not counted.
 func (t *Twin) GuestTransmitBatch(d *NICDev, frames [][]byte) (int, error) {
 	if t.Dead {
 		return 0, ErrDriverDead
@@ -63,58 +65,35 @@ func (t *Twin) GuestTransmitBatch(d *NICDev, frames [][]byte) (int, error) {
 		if len(chunk) > TxRingSlots {
 			chunk = chunk[:TxRingSlots]
 		}
-		// Guest side: stage each frame and publish its descriptor. The
-		// staging copy stands in for the guest's own packet pages, as in
+		// Guest side: stage what fits behind any leftovers. The staging
+		// copy stands in for the guest's own packet pages, as in
 		// GuestTransmit; its cycle price is part of the caller's kernel
-		// path. Capacity is checked BEFORE the slot write: on a full ring
-		// the producer slot still backs an unconsumed descriptor (e.g.
-		// left staged by a budgeted ServiceRings), and writing first would
-		// silently corrupt that frame.
-		for _, f := range chunk {
-			free, err := g.ring.Free()
-			if err != nil {
-				_ = g.ring.Reset() // best-effort: the staging error is the one to report
-				return sent, err
-			}
-			if free == 0 {
-				break // drain below, stage the rest next round
-			}
-			slot, err := g.ring.ProducerSlot()
-			if err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
-			if err := g.dom.AS.WriteBytes(g.slots[slot], f); err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
-			if err := g.ring.Push(g.slots[slot], uint32(len(f))); err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
+		// path.
+		left, err := g.ring.Len()
+		if err == nil {
+			_, err = g.stage(chunk)
+		}
+		if err != nil {
+			_ = g.ring.Reset() // best-effort: the staging error is the one to report
+			return sent, err
 		}
 		// One boundary crossing for the whole chunk.
 		t.M.HV.ChargeHypercall()
 		t.ctlLane.Record(t.mMeter, telemetry.EvHypercall, int32(g.dom.ID), uint64(len(chunk)), 0)
 		// Hypervisor side: drain the ring without further transitions.
 		for {
-			addr, n, ok, err := g.ring.Pop()
+			did, err := t.txStaged(d, g)
 			if err != nil {
-				// A corrupt (guest-scribbled) header: discard the staged
-				// descriptors rather than trusting any of them.
-				_ = g.ring.Reset()
 				return sent, err
 			}
-			if !ok {
+			if !did {
 				break
 			}
-			if err := t.xmitOne(d, g, addr, int(n)); err != nil {
-				if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-					return sent, rerr
-				}
-				return sent, err
+			if left > 0 {
+				left--
+			} else {
+				sent++
 			}
-			sent++
 		}
 	}
 	t.ctlLane.Record(t.mMeter, telemetry.EvBatchServiced, int32(g.dom.ID), uint64(sent), 0)
@@ -135,14 +114,20 @@ func (t *Twin) StageTransmitBatch(dom *xen.Domain, frames [][]byte) (int, error)
 	if !ok {
 		return 0, fmt.Errorf("core: domain %q has no transmit ring", dom.Name)
 	}
+	return g.stage(frames)
+}
+
+// stage copies frames into the guest's staging slots and publishes their
+// descriptors in order, stopping without error when the ring fills. It
+// returns the number staged. Capacity is checked BEFORE the slot write: on
+// a full ring the producer slot aliases the oldest unconsumed descriptor's
+// staging buffer, and writing first would corrupt that staged frame.
+func (g *guestIO) stage(frames [][]byte) (int, error) {
 	staged := 0
 	for _, f := range frames {
 		if len(f) > TxSlotBytes {
 			return staged, fmt.Errorf("core: frame of %d bytes exceeds the %d-byte staging slot", len(f), TxSlotBytes)
 		}
-		// Capacity is checked BEFORE the slot write: on a full ring the
-		// producer slot aliases the oldest unconsumed descriptor's staging
-		// buffer, and writing first would corrupt that staged frame.
 		free, err := g.ring.Free()
 		if err != nil {
 			return staged, err
@@ -165,23 +150,44 @@ func (t *Twin) StageTransmitBatch(dom *xen.Domain, frames [][]byte) (int, error)
 	return staged, nil
 }
 
-// ServiceRings drains every guest's transmit ring under a single boundary
-// crossing: one hypercall, then each service queue's round-robin sweep
-// over the guests sharded onto it, consuming one descriptor per guest per
-// pass, so a guest with a full ring cannot starve the others. budget
-// bounds the descriptors consumed per queue in this crossing (0 means
-// drain everything); descriptors beyond the budget stay staged for the
-// next crossing. It returns per-guest transmit counts.
+// txStaged transmits at most one descriptor from g's staged ring and
+// reports whether it consumed one; a nil error with true means the frame
+// went out. A corrupt ring header (the guest scribbled its head/tail
+// words) or a transmit fault resets the ring, discarding every staged
+// descriptor rather than trusting any of them. It is the one staged-ring
+// consumer: the service sweep and GuestTransmitBatch's drain both call it.
+func (t *Twin) txStaged(d *NICDev, g *guestIO) (bool, error) {
+	addr, n, ok, err := g.ring.Pop()
+	if err != nil {
+		_ = g.ring.Reset()
+		return false, fmt.Errorf("core: guest %d transmit ring: %w", g.dom.ID, err)
+	}
+	if !ok {
+		return false, nil
+	}
+	if err := t.xmitOne(d, g, addr, int(n)); err != nil {
+		if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
+			return true, rerr
+		}
+		return true, err
+	}
+	return true, nil
+}
+
+// ServiceRings drains every guest's transmit rings under a single boundary
+// crossing: one hypercall, then each service queue's deficit-round-robin
+// sweep (sched.go) over the guests sharded onto it, so a guest with a full
+// ring cannot starve the others. budget bounds the descriptors consumed
+// per queue in this crossing (0 means drain everything); descriptors
+// beyond the budget stay staged for the next crossing. It returns
+// per-guest transmit counts.
 //
-// On a single-queue backend, queue 0's guest list IS the classic
-// guestOrder, so this is operation-for-operation the original one-loop
-// service — the degenerate configuration's hot path stays cycle-identical.
-// With more queues, each queue's work is charged to that queue's own
-// meter (its simulated core); queues are swept in index order here, and
-// ServiceAllQueues runs the same sweeps as concurrent goroutines.
+// Queues are swept in index order. With more than one queue, each queue's
+// work is charged to that queue's own meter (its simulated core), so the
+// simulated critical path is the slowest queue, not the sum; a
+// single-queue backend's one meter is the machine meter.
 //
-// A corrupt ring header (ErrRingCorrupt — the guest scribbled its
-// guest-writable head/tail words) or a transmit fault discards the
+// A corrupt ring header (ErrRingCorrupt) or a transmit fault discards the
 // offending guest's staged descriptors and aborts that queue's sweep;
 // other queues are still serviced (queue isolation: a hostile descriptor
 // on queue k loses only queue-k frames) and other guests' rings keep
@@ -207,61 +213,10 @@ func (t *Twin) ServiceRings(d *NICDev, budget int) (map[mem.Owner]int, error) {
 	return sent, firstErr
 }
 
-// ServiceAllQueues is ServiceRings with a goroutine per service queue:
-// the Go-level structure of parallel per-queue service loops, each loop's
-// hot path shared-nothing (own guest list, own ring set, own meter). The
-// simulated machine underneath is a single CPU, so execMu serializes the
-// actual execution — concurrency here is about proving the loop structure
-// race-clean (the chaos soak runs it under -race), not about wall-clock.
-// The simulated-time win of multiple queues comes from the per-queue
-// meters: the critical path is the slowest queue, not the sum.
-func (t *Twin) ServiceAllQueues(d *NICDev, budget int) (map[mem.Owner]int, error) {
-	if t.Dead {
-		return nil, ErrDriverDead
-	}
-	t.M.HV.ChargeHypercall()
-	t.ctlLane.Record(t.mMeter, telemetry.EvHypercall, -1, 0, 0)
-	sent := make(map[mem.Owner]int)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for q := 0; q < t.nQueues; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			t.execMu.Lock()
-			defer t.execMu.Unlock()
-			if t.Dead {
-				return
-			}
-			qsent := make(map[mem.Owner]int)
-			err := t.withQueueMeter(q, func() error {
-				return t.serviceQueue(d, q, budget, qsent)
-			})
-			mu.Lock()
-			for id, n := range qsent {
-				sent[id] += n
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(q)
-	}
-	wg.Wait()
-	return sent, firstErr
-}
-
-// serviceQueue drains one service queue's guests round-robin; the body
-// (sweepQueue) is the classic ServiceRings loop restricted to the
-// queue's shard. The sweep is bracketed by start/end events on the
-// queue's own telemetry lane, stamped with the meter in scope — queue
-// q's own simulated core when several queues run — so a traced mq run
-// renders each queue as its own timeline. The queue goroutine is the
-// lane's only writer (serialized under execMu), which is what the
-// -race traced-service test pins.
+// serviceQueue runs one service queue's sweep, bracketed by start/end
+// events on the queue's own telemetry lane and stamped with the meter in
+// scope — queue q's own simulated core when several queues run — so a
+// traced mq run renders each queue as its own timeline.
 func (t *Twin) serviceQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) error {
 	lane := t.qLanes[q]
 	meter := t.M.HV.Meter
@@ -271,64 +226,10 @@ func (t *Twin) serviceQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) er
 	return err
 }
 
-func (t *Twin) sweepQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
-	// The weighted-fair scheduler is opt-in (TwinConfig.Weights/Rates);
-	// the default configuration runs the classic equal round-robin loop
-	// below, operation-for-operation as it always did.
-	if t.drr {
-		return t.sweepQueueDRR(d, q, budget, sent)
-	}
-	consumed := 0
-	for {
-		progress := false
-		for _, id := range t.queueGuests[q] {
-			if budget > 0 && consumed >= budget {
-				return consumed, nil
-			}
-			g := t.guestIO[id]
-			addr, n, ok, err := g.ring.Pop()
-			if err != nil {
-				_ = g.ring.Reset()
-				return consumed, fmt.Errorf("core: guest %d transmit ring: %w", id, err)
-			}
-			if ok {
-				progress = true
-				consumed++
-				if err := t.xmitOne(d, g, addr, int(n)); err != nil {
-					if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-						return consumed, rerr
-					}
-					return consumed, err
-				}
-				sent[id]++
-			}
-			// The posted-transmit ring drains under the same round-robin
-			// step: one descriptor per guest per pass, resolved through the
-			// guest TLB (txpath.go). A guest that never posts pays nothing —
-			// the empty-ring check moves no simulated cycles.
-			if budget > 0 && consumed >= budget {
-				return consumed, nil
-			}
-			did, perr := t.servicePostedTx(d, g, sent)
-			if did {
-				progress = true
-				consumed++
-			}
-			if perr != nil {
-				return consumed, perr
-			}
-		}
-		if !progress {
-			return consumed, nil
-		}
-	}
-}
-
 // withQueueMeter runs fn with the machine's cycle meter swapped to queue
 // q's meter — both aliases, xen.Hypervisor.Meter and the CPU's, point at
-// the same object and must move together. The degenerate single-queue
-// configuration never swaps (queue 0's meter IS the machine meter), so
-// the classic path is untouched.
+// the same object and must move together. The single-queue
+// configuration never swaps (queue 0's meter IS the machine meter).
 func (t *Twin) withQueueMeter(q int, fn func() error) error {
 	if t.nQueues == 1 {
 		return fn()

@@ -1,11 +1,10 @@
-// Posted-transmit descriptors under parallel per-queue service, driven
-// through the multi-queue backend. External test package: mqnic imports
+// Posted-transmit descriptors under multi-queue service, driven through
+// the multi-queue backend. External test package: mqnic imports
 // core, so these tests cannot live inside package core itself.
 package core_test
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"twindrivers/internal/core"
@@ -13,22 +12,20 @@ import (
 	"twindrivers/internal/mqnic"
 )
 
-// postTxQueues builds an mqnic twin, writes per-guest frames into
-// guest-owned buffers, posts their (addr,len) descriptors, and services
-// all queues either sequentially or in parallel, returning the per-guest
-// sent counts and per-guest wire sequences (tagged by source-MAC byte 11).
-func postTxQueues(t *testing.T, parallel bool) (map[mem.Owner]int, map[int][][]byte) {
+// postTxQueues builds an mqnic twin at the given queue count, writes
+// per-guest frames into guest-owned buffers, posts their (addr,len)
+// descriptors, and services every queue in one crossing, returning the
+// per-guest sent counts and per-guest wire sequences (tagged by
+// source-MAC byte 11).
+func postTxQueues(t *testing.T, queues int) (map[mem.Owner]int, map[int][][]byte) {
 	t.Helper()
-	m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: 4})
+	m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: queues})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := m.Devs[0]
-	var mu sync.Mutex
 	byGuest := make(map[int][][]byte)
 	d.Dev.SetOnTransmit(func(pkt []byte) {
-		mu.Lock()
-		defer mu.Unlock()
 		byGuest[int(pkt[11])] = append(byGuest[int(pkt[11])], append([]byte(nil), pkt...))
 	})
 	for gi, dom := range m.Guests {
@@ -52,36 +49,32 @@ func postTxQueues(t *testing.T, parallel bool) (map[mem.Owner]int, map[int][][]b
 			t.Fatalf("guest %d posted %d: %v", gi, posted, err)
 		}
 	}
-	service := tw.ServiceRings
-	if parallel {
-		service = tw.ServiceAllQueues
-	}
-	sent, err := service(d, 0)
+	sent, err := tw.ServiceRings(d, 0)
 	if err != nil {
-		t.Fatalf("service (parallel=%v): %v", parallel, err)
+		t.Fatalf("service (queues=%d): %v", queues, err)
 	}
 	for _, dom := range m.Guests {
 		if lost := tw.PostedTxLost(dom.ID); lost != 0 {
-			t.Fatalf("guest %d lost %d posted frames (parallel=%v)", dom.ID, lost, parallel)
+			t.Fatalf("guest %d lost %d posted frames (queues=%d)", dom.ID, lost, queues)
 		}
 	}
 	return sent, byGuest
 }
 
-// TestPostedTxParallelQueuesMatchSequential pins per-queue posted
-// transmit under ServiceAllQueues (one goroutine per queue) to the
-// sequential sweep: same per-guest sent counts, same per-guest frame
-// bytes on the wire, zero posted frames lost. Run under -race in CI this
-// is the shared-nothing proof for the posted-TX hot path — descriptor
-// snapshots, guest-TLB lookups and pin-table updates included.
+// TestPostedTxParallelQueuesMatchSequential pins posted transmit on four
+// service queues — four simulated cores, each sweeping its own shard — to
+// the one-queue sequential sweep: same per-guest sent counts, same
+// per-guest frame bytes on the wire, zero posted frames lost. Sharding
+// changes which core meters a guest's descriptors, never what a guest
+// puts on the wire.
 func TestPostedTxParallelQueuesMatchSequential(t *testing.T) {
-	seqSent, seqWire := postTxQueues(t, false)
-	parSent, parWire := postTxQueues(t, true)
+	seqSent, seqWire := postTxQueues(t, 1)
+	parSent, parWire := postTxQueues(t, 4)
 	if !reflect.DeepEqual(seqSent, parSent) {
-		t.Fatalf("sent maps differ: sequential %v, parallel %v", seqSent, parSent)
+		t.Fatalf("sent maps differ: one queue %v, four queues %v", seqSent, parSent)
 	}
 	if !reflect.DeepEqual(seqWire, parWire) {
-		t.Fatal("per-guest wire sequences differ between sequential and parallel posted-TX service")
+		t.Fatal("per-guest wire sequences differ between one and four posted-TX service queues")
 	}
 	total := 0
 	for gi := range seqWire {

@@ -192,11 +192,10 @@ type AddressSpace struct {
 	// also carries the frame's RAM, so Load and Store reach a cached
 	// RAM page without touching Physical. Lookups fill it, so even
 	// LookupLocal writes the AddressSpace. That is safe only because the
-	// simulated machine is one CPU: no two goroutines translate through
-	// the same space at once (the twin's parallel per-queue service
-	// loops serialize all execution under core's execMu), and page-table
-	// mutations are setup-time or SVM first-touch Map/Unmap calls on
-	// that same serialized path.
+	// simulated machine is one CPU driven by one goroutine: core starts
+	// no goroutines, so no two translate through the same space at once,
+	// and page-table mutations are setup-time or SVM first-touch
+	// Map/Unmap calls on that same path.
 	tc      [tcEntries]tcEntry
 	tcDirty bool // some tc entry may be valid
 }

@@ -177,8 +177,8 @@ func (p *Params) model() (*drivermodel.Model, error) {
 // queue both views are exactly the machine meter's. With N queues the
 // per-queue service work is metered per queue: the breakdown merges every
 // queue (total work done), while the critical path charges the non-queue
-// work plus the SLOWEST queue — the wall-clock of goroutine-per-queue
-// service loops running in parallel.
+// work plus the SLOWEST queue — the wall-clock of per-queue service
+// loops running on parallel cores.
 func criticalPath(p *netpath.Path) (critical uint64, breakdown map[cycles.Component]uint64, queues int) {
 	m := p.Meter()
 	critical = m.Total()

@@ -16,7 +16,7 @@ const CyclesPerMicrosecond = 3000.0
 func toMicros(cyc uint64) float64 { return float64(cyc) / CyclesPerMicrosecond }
 
 // WriteChromeTrace exports the tracer in Chrome trace-event (catapult)
-// JSON: each lane becomes a named thread ("goroutine lane"), queue
+// JSON: each lane becomes a named thread, queue
 // sweeps and fault→recovery windows become complete ("X") spans, and
 // everything else becomes instant events, so a soak or mq sweep opens
 // directly in chrome://tracing or Perfetto.

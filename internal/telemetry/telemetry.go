@@ -80,10 +80,9 @@ type Event struct {
 const DefaultLaneEvents = 4096
 
 // Lane is a fixed-capacity overwrite ring of events with a single
-// writer. The runtime serializes all simulated work — including the
-// goroutine-per-queue service loops — under the twin's execution lock,
-// and each queue writes only its own lane, so lanes need no locking;
-// the -race leg of the parallel service tests pins this.
+// writer. The twin runs all simulated work on the one goroutine driving
+// it, and each service queue writes only its own lane, so lanes need no
+// locking.
 //
 // A nil *Lane is the disabled tracer: Record returns immediately
 // without reading the meter.
